@@ -28,6 +28,7 @@ from .triangles import (
     SpinSextuple,
     TriangleData,
     beta_decompose,
+    check_admissible,
     classify_parity,
     triangle_sums,
 )
@@ -155,9 +156,14 @@ def dihedral_phase(
 
 
 def asym_standard(s: SpinSextuple, k: int, geo: TetGeometry | None = None) -> AsymptoticResult:
-    """Large-k standard 6j: cos(pi/4 + phi_k) / sqrt(12 pi k^3 V)."""
+    """Large-k standard 6j: cos(pi/4 + phi_k) / sqrt(12 pi k^3 V).
+
+    Raises the AdmissibilityError of the exact evaluator unless the rescaled
+    sextuple k*s is SU(2)-admissible.
+    """
     if k < 1:
         raise ValueError("k must be a positive integer")
+    check_admissible(triangle_sums(s.scaled(k)), "su2")
     geo = geo or tet_from_spins(s)
     amplitude = 1.0 / math.sqrt(12.0 * math.pi * k**3 * geo.volume)
     angle = 0.25 * math.pi + dihedral_phase("standard", s, k, geo)

@@ -138,7 +138,8 @@ def tet_from_spins(s: SpinSextuple) -> TetGeometry:
 
     Raises NonEuclideanError when the Cayley-Menger determinant is not
     positive beyond the degeneracy tolerance (the lengths do not embed, or
-    embed flat).
+    embed flat), or when a face breaks the triangle inequality: a positive
+    determinant alone does not make the six lengths a tetrahedron.
     """
     cm = cayley_menger(s)
     scale = max(x.as_fraction() for x in s.spins)
@@ -146,6 +147,13 @@ def tet_from_spins(s: SpinSextuple) -> TetGeometry:
         raise NonEuclideanError(
             f"no Euclidean tetrahedron for {s}: Cayley-Menger determinant {float(cm):.6g}"
         )
+    for face in ((s.j1, s.j2, s.j3), (s.J1, s.j2, s.J3), (s.J1, s.J2, s.j3), (s.j1, s.J2, s.J3)):
+        a, b, c = sorted(x.twice for x in face)
+        if a + b < c:
+            raise NonEuclideanError(
+                f"no Euclidean tetrahedron for {s}: face ({', '.join(map(str, face))}) "
+                "breaks the triangle inequality"
+            )
     volume = math.sqrt(float(cm / 288))
     a, b, c, d = _embed(s)
     theta_int = (

@@ -10,6 +10,10 @@ parity-dependent monomial, applies integer-part brackets to the factorial
 arguments, uses a parity prefactor built from the same brackets and carries
 a global frontal sign (-1)^(4 sum j*J).  One generic code path covers all
 three parities; the per-parity forms fall out of the brackets.
+
+Since (t+1)! = t! (t+1), both sums are one kernel with monomial 1 + t for
+SU(2).  It nests the sum from the top term down over the term ratio on plain
+ints; the caller reduces the result once, as a single Fraction.
 """
 
 from __future__ import annotations
@@ -18,13 +22,7 @@ import warnings
 from fractions import Fraction
 
 from .errors import EmptySumWarning, ShiftViolation
-from .exact import (
-    ExactSymbol,
-    factorial,
-    factorial_table,
-    prime_exponent_in_factorial,
-    primes_up_to,
-)
+from .exact import ExactSymbol, factorial, primes_up_to
 from .triangles import (
     BetaDecomposition,
     Parity,
@@ -174,57 +172,53 @@ def prefactor_super(
     return Fraction(top, bottom)
 
 
-def _sum_standard(v_ints: list[int], p_ints: list[int]) -> Fraction:
-    tmin = max(v_ints)
-    tmax = min(p_ints)
-    fact = factorial_table(tmax + 1)
-    total = Fraction(0)
-    for t in range(tmin, tmax + 1):
-        den = 1
-        for vi in v_ints:
-            den *= fact[t - vi]
-        for pj in p_ints:
-            den *= fact[pj - t]
-        term = Fraction(fact[t + 1], den)
-        total += -term if t % 2 else term
-    return total
+def _alternating_sum(w: list[int], m: list[int], c0: int, c1: int) -> tuple[int, int]:
+    """Unreduced (num, den) of sum_t (-1)^t t! (c0 + c1 t) / [prod (t-w_i)! prod (m_j-t)!].
 
-
-def _sum_super(
-    w: list[int], m: list[int], c0: Fraction, c1: Fraction
-) -> Fraction:
-    """sum over integer t of (-1)^t t! (c0 + c1 t) / [prod (t-w_i)! prod (m_j-t)!]."""
-    tmin = max(w)
-    tmax = min(m)
-    if tmin > tmax:
-        return Fraction(0)
-    fact = factorial_table(tmax)
-    total = Fraction(0)
-    for t in range(tmin, tmax + 1):
-        den = 1
-        for wi in w:
-            den *= fact[t - wi]
-        for mj in m:
-            den *= fact[mj - t]
-        term = Fraction(fact[t], den) * (c0 + c1 * t)
-        total += -term if t % 2 else term
-    return total
+    t runs over the integers max(w) = lo <= t <= hi = min(m), with four w
+    and three m; an empty range gives (0, 1).  The sum is nested from the top
+    term down over the term ratio -(t+1) prod (m_j-t) / prod (t+1-w_i), so
+    the loop multiplies plain ints only.  The head lo! / [prod (lo-w_i)!
+    prod (m_j-lo)!] and the sign (-1)^lo enter once, at the end.
+    """
+    lo, hi = max(w), min(m)
+    if lo > hi:
+        return 0, 1
+    w0, w1, w2, w3 = w
+    m0, m1, m2 = m
+    num, den = c0 + c1 * hi, 1
+    for t in range(hi - 1, lo - 1, -1):
+        u = t + 1
+        b = (u - w0) * (u - w1) * (u - w2) * (u - w3)
+        num = (c0 + c1 * t) * b * den - u * (m0 - t) * (m1 - t) * (m2 - t) * num
+        den *= b
+    num *= factorial(lo)
+    for x in w:
+        den *= factorial(lo - x)
+    for x in m:
+        den *= factorial(x - lo)
+    return (-num if lo % 2 else num), den
 
 
 def _prefactor_symbol(nums: list[int], dens: list[int], coeff: Fraction) -> ExactSymbol:
     """coeff * sqrt(prod nums! / prod dens!) built from prime-exponent vectors.
 
     The radicand is never multiplied out, so square extraction stays cheap
-    however large the factorial arguments grow under spin rescaling.
+    however large the factorial arguments grow under spin rescaling.  The
+    exponent of p in n! is Legendre's sum of n // p**i, accumulated inline.
     """
     top = max(nums + dens, default=0)
     exps: dict[int, int] = {}
     for p in primes_up_to(top):
         e = 0
         for n in nums:
-            e += prime_exponent_in_factorial(n, p)
-        for d in dens:
-            e -= prime_exponent_in_factorial(d, p)
+            while n >= p:
+                n //= p
+                e += n
+        for n in dens:
+            while n >= p:
+                n //= p
+                e -= n
         if e:
             exps[p] = e
     return ExactSymbol.from_prime_exponents(coeff, exps)
@@ -236,7 +230,7 @@ def sixj_exact(s: SpinSextuple) -> ExactSymbol:
     check_admissible(t, "su2")
     v_ints = [int(vi) for vi in t.v]
     p_ints = [int(pj) for pj in t.p]
-    total = _sum_standard(v_ints, p_ints)
+    total = Fraction(*_alternating_sum(v_ints, p_ints, 1, 1))
     if total == 0:
         return ExactSymbol.zero()
     nums = [pj - vi for pj in p_ints for vi in v_ints]
@@ -257,13 +251,17 @@ def sixj_super_exact(s: SpinSextuple) -> ExactSymbol:
     check_admissible(t, "osp12")
     parity = classify_parity(t)
     bd = beta_decompose(s, t) if parity is Parity.BETA else None
-    c0, c1 = monomial_coefficients(parity, s, bd)
     w = [vi.floor_plus_half() for vi in t.v]
     m = [pj.floor_plus_half() for pj in t.p]
     if max(w) > min(m):
         warnings.warn("empty summation range; exact value is 0", EmptySumWarning)
         return ExactSymbol.zero()
-    total = _sum_super(w, m, c0, c1)
+    # the monomial coefficients are multiples of 1/4: sum with 4x them
+    c0, c1 = (4 * c for c in monomial_coefficients(parity, s, bd))
+    if c0.denominator != 1 or c1.denominator != 1:
+        raise ValueError(f"4 x monomial coefficients ({c0}, {c1}) are not integers")
+    num, den = _alternating_sum(w, m, c0.numerator, c1.numerator)
+    total = Fraction(num, 4 * den)
     if total == 0:
         return ExactSymbol.zero()
     sign = frontal_sign(s, t, 1)

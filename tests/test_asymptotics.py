@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sixj import (
+    IntegralityViolation,
     KParityError,
     Parity,
     SpinSextuple,
@@ -163,6 +164,14 @@ class TestAsymStandard:
     def test_value_is_amplitude_times_cos(self):
         res = asym_standard(ALL_ONES, 17)
         assert res.value == res.amplitude * math.cos(res.angle)
+
+    def test_rejects_inadmissible_rescaling(self):
+        # {1/2 ... 1/2} * k has half-integer triangle sums for odd k
+        halves = SpinSextuple.of(*([HALF] * 6))
+        for k in (1, 3):
+            with pytest.raises(IntegralityViolation):
+                asym_standard(halves, k)
+        assert asym_standard(halves, 2).parity_used == "standard"
 
 
 class TestAsymAlpha:

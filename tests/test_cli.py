@@ -1,4 +1,7 @@
 import json
+from fractions import Fraction
+
+import pytest
 
 from sixj.cli import cli_main
 
@@ -154,3 +157,35 @@ class TestUsage:
 
     def test_wrong_spin_count(self, capsys):
         assert run(capsys, "eval", "1", "1")[0] == 2
+
+
+class TestInputBoundary:
+    # face (j1, j2, j3) = (1/2, 1/2, 3/2) is not a triangle, although the
+    # Cayley-Menger determinant of the six lengths is positive
+    BAD_FACE = ("1/2", "1/2", "3/2", "1/2", "5/2", "3/2")
+    HALVES = ("1/2",) * 6
+
+    def test_geometry_bad_face_exit_code(self, capsys):
+        code, out, err = run(capsys, "geometry", *self.BAD_FACE)
+        assert code == 4
+        assert out == ""
+        assert "triangle inequality" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("k", ["1", "2", "3"])
+    def test_asym_super_bad_face_exit_code(self, capsys, k):
+        code, out, err = run(capsys, "asym", "--kind", "super", "--k", k, *self.BAD_FACE)
+        assert code == 4
+        assert out == ""
+        assert "triangle inequality" in err
+
+    def test_asym_su2_bad_face_is_inadmissible(self, capsys):
+        code, out, _ = run(capsys, "asym", "--kind", "su2", "--k", "2", *self.BAD_FACE)
+        assert code == 3
+        assert out == ""
+
+    @pytest.mark.parametrize("k, expected", [(1, 3), (2, 0), (3, 3)])
+    def test_asym_su2_exit_code_matches_eval(self, capsys, k, expected):
+        scaled = [str(k * Fraction(x)) for x in self.HALVES]
+        asym_code, _, _ = run(capsys, "asym", "--kind", "su2", "--k", str(k), *self.HALVES)
+        eval_code, _, _ = run(capsys, "eval", "--kind", "su2", *scaled)
+        assert asym_code == eval_code == expected

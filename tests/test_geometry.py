@@ -55,6 +55,13 @@ class TestTetGeometry:
         with pytest.raises(NonEuclideanError):
             tet_from_spins(SpinSextuple.of(HALF, 1, 1, 1, 1, HALF))
 
+    def test_positive_cm_with_broken_face_rejected(self):
+        # CM > 0, but face (j1, j2, j3) = (1/2, 1/2, 3/2) is not a triangle
+        s = SpinSextuple.of(HALF, HALF, Fraction(3, 2), HALF, Fraction(5, 2), Fraction(3, 2))
+        assert cayley_menger(s) > 0
+        with pytest.raises(NonEuclideanError, match="triangle inequality"):
+            tet_from_spins(s)
+
     def test_exterior_angles_in_range_and_complementary(self):
         rng = random.Random(61)
         count = 0

@@ -1,10 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from sixj import (
+    EmptySumWarning,
     ExactSymbol,
+    HalfInt,
     Parity,
     ShiftViolation,
     SpinSextuple,
@@ -22,6 +27,8 @@ from sixj import (
     sixj_super_exact,
     triangle_sums,
 )
+from sixj import symbols
+from sixj.symbols import _alternating_sum
 from oracles import (
     racah_sixj,
     random_admissible,
@@ -204,3 +211,110 @@ class TestPrefactors:
         s = SpinSextuple.of(*([HALF] * 6))
         with pytest.raises(ShiftViolation):
             prefactor_standard(triangle_sums(s))
+
+
+def _term_by_term(w, m, c0, c1) -> Fraction:
+    """The kernel's defining sum, one Fraction per term."""
+    total = Fraction(0)
+    for t in range(max(w), min(m) + 1):
+        den = math.prod(math.factorial(t - x) for x in w)
+        den *= math.prod(math.factorial(x - t) for x in m)
+        total += Fraction((-1) ** t * math.factorial(t) * (c0 + c1 * t), den)
+    return total
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(w, m, c0, c1) with a non-empty range lo = max(w) <= t <= hi = min(m)."""
+    lo = draw(st.integers(0, 40))
+    hi = lo + draw(st.integers(0, 12))
+    w = draw(st.permutations([lo] + [draw(st.integers(0, lo)) for _ in range(3)]))
+    m = draw(st.permutations([hi] + [draw(st.integers(hi, hi + 20)) for _ in range(2)]))
+    c1 = draw(st.integers(-30, 30))
+    if draw(st.booleans()):
+        c0 = draw(st.integers(-60, 60))
+    else:  # root of the monomial inside the range: it changes sign there
+        c0 = -c1 * draw(st.integers(lo, hi))
+    return w, m, c0, c1
+
+
+class TestAlternatingSum:
+    @given(kernel_inputs())
+    @example(([4, 1, 0, 2], [4, 9, 5], 3, -2))  # single term, even lo
+    @example(([7, 7, 3, 0], [7, 8, 12], -5, 1))  # single term, odd lo
+    @example(([3, 1, 0, 2], [9, 11, 10], 12, -2))  # sign change at t = 6
+    @example(([5, 2, 5, 0], [14, 9, 16], 1, 1))  # the SU(2) monomial, odd lo
+    @settings(max_examples=300, deadline=None)
+    def test_matches_term_by_term_sum(self, args):
+        w, m, c0, c1 = args
+        num, den = _alternating_sum(w, m, c0, c1)
+        assert den > 0
+        assert Fraction(num, den) == _term_by_term(w, m, c0, c1)
+
+    def test_empty_range_is_zero(self):
+        assert _alternating_sum([5, 1, 1, 1], [4, 6, 6], 1, 1) == (0, 1)
+
+    def test_hand_built_empty_range_warns(self, monkeypatch):
+        # admissibility excludes empty ranges; bypass it to reach the guard
+        monkeypatch.setattr(symbols, "check_admissible", lambda t, algebra: None)
+        s = SpinSextuple.of(4, 1, 1, 1, 1, 4)  # max floor(v + 1/2) = 9 > min floor(p + 1/2) = 7
+        with pytest.warns(EmptySumWarning):
+            assert sixj_super_exact(s) == ExactSymbol.zero()
+
+    @pytest.mark.parametrize("k", [51, 101])
+    @pytest.mark.parametrize("spins", [(1, 1, 1, 1, 1, 1), (1, 2, 2, 2, 1, 2)])
+    def test_su2_matches_racah_oracle_at_large_k(self, k, spins):
+        scaled = SpinSextuple.of(*spins).scaled(k)
+        assert sixj_exact(scaled) == racah_sixj([x.as_fraction() for x in scaled.spins])
+
+    @pytest.mark.parametrize("k", [51, 101])
+    @pytest.mark.parametrize(
+        "parity, spins",
+        [
+            ("alpha", (1, 1, 1, 1, 1, 1)),
+            ("beta", (1, 3 * HALF, 3 * HALF, 3 * HALF, 3 * HALF, 1)),
+            ("gamma", (HALF,) * 6),
+            ("gamma", (HALF, HALF, HALF, 3 * HALF, 3 * HALF, 3 * HALF)),
+        ],
+    )
+    def test_super_matches_direct_oracle_at_large_k(self, k, parity, spins):
+        scaled = SpinSextuple.of(*spins).scaled(k)
+        assert classify_parity(triangle_sums(scaled)).value == parity
+        assert sixj_super_exact(scaled) == super_sixj_direct(
+            [x.as_fraction() for x in scaled.spins]
+        )
+
+
+def _triangle_third(draw, a, b):
+    """A doubled third side c with |a-b| <= c <= a+b and a+b+c even."""
+    return abs(a - b) + 2 * draw(st.integers(0, min(a, b)))
+
+
+@st.composite
+def su2_sextuples(draw, max_twice=80):
+    """SU(2)-admissible sextuples with doubled spins <= max_twice, face by face."""
+    a1, a2 = draw(st.integers(0, max_twice)), draw(st.integers(0, max_twice))
+    a3 = _triangle_third(draw, a1, a2)
+    b1 = draw(st.integers(0, max_twice))
+    b2 = _triangle_third(draw, b1, a3)
+    # J3 closes the faces (j1, J2, J3) and (J1, j2, J3); the parities agree
+    lo = max(abs(a1 - b2), abs(b1 - a2))
+    hi = min(a1 + b2, b1 + a2, max_twice)
+    assume(a3 <= max_twice and b2 <= max_twice and lo <= hi)
+    b3 = lo + 2 * draw(st.integers(0, (hi - lo) // 2))
+    return SpinSextuple(*(HalfInt(x) for x in (a1, a2, a3, b1, b2, b3)))
+
+
+class TestSympyOracle:
+    @given(su2_sextuples())
+    @settings(max_examples=60, deadline=None)
+    def test_su2_matches_sympy_wigner_6j(self, s):
+        sympy = pytest.importorskip("sympy")
+        from sympy.physics.wigner import wigner_6j
+
+        assert is_admissible(s, "su2")
+        ref = wigner_6j(*(sympy.Rational(x.twice, 2) for x in s.spins))
+        value = sixj_exact(s)
+        square = value.squared()
+        assert ref**2 == sympy.Rational(square.numerator, square.denominator)
+        assert sympy.sign(ref) == value.sign
