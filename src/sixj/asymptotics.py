@@ -274,9 +274,15 @@ def asym_beta(
 
 
 def asym_for_scaled(s: SpinSextuple, k: int, geo: TetGeometry | None = None) -> AsymptoticResult:
-    """Route a supersymmetric sextuple to the formula matching the parity of k*s."""
+    """Route a supersymmetric sextuple to the formula matching the parity of k*s.
+
+    Raises the AdmissibilityError of the exact evaluator unless the rescaled
+    sextuple k*s is OSP(1|2)-admissible, before any geometry is built.
+    """
+    t = triangle_sums(s.scaled(k))
+    check_admissible(t, "osp12")
+    parity = classify_parity(t)
     geo = geo or tet_from_spins(s)
-    parity = classify_parity(triangle_sums(s)) if k % 2 else Parity.ALPHA
     if parity is Parity.ALPHA:
         return asym_alpha(s, k, geo)
     if parity is Parity.GAMMA:

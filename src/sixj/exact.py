@@ -120,30 +120,31 @@ class ExactSymbol:
         """Build coeff * sqrt(prod p**e) from a prime-exponent map.
 
         The square part prod p**(e//2) moves into the coefficient without ever
-        multiplying out the radicand, which keeps canonicalisation cheap when
-        the exponents come from large factorial products.
+        multiplying out the radicand.  Each odd-exponent prime enters the
+        radicand once, so it is square-free with coprime parts already: the
+        value is built canonical, without __post_init__'s trial division.
         """
         mult_num = mult_den = 1
         rad_num = rad_den = 1
         for p, e in exponents.items():
-            if e == 0:
-                continue
-            q, r = divmod(abs(e), 2)
             if e > 0:
-                mult_num *= p**q
-                if r:
+                mult_num *= p ** (e >> 1)
+                if e & 1:
                     rad_num *= p
-            else:
-                mult_den *= p**q
-                if r:
+            elif e < 0:
+                mult_den *= p ** (-e >> 1)
+                if e & 1:
                     rad_den *= p
-        return cls(Fraction(coeff) * Fraction(mult_num, mult_den), Fraction(rad_num, rad_den))
+        q = Fraction(coeff)
+        coeff = Fraction(q.numerator * mult_num, q.denominator * mult_den)
+        if coeff == 0:
+            return cls.zero()
+        value = object.__new__(cls)
+        object.__setattr__(value, "coeff", coeff)
+        object.__setattr__(value, "radicand", Fraction(rad_num, rad_den))
+        return value
 
     # -- queries -----------------------------------------------------------
-
-    def canonical(self) -> "ExactSymbol":
-        """Re-normalise; a fixed point for values built by this class."""
-        return ExactSymbol(self.coeff, self.radicand)
 
     @property
     def is_zero(self) -> bool:

@@ -33,7 +33,6 @@ class TetGeometry:
     lengths: tuple[float, float, float, float, float, float]
     volume: float
     theta_ext: tuple[float, float, float, float, float, float]
-    euclidean: bool
     cayley_menger: Fraction
 
     def theta_int(self, i: int) -> float:
@@ -166,7 +165,7 @@ def tet_from_spins(s: SpinSextuple) -> TetGeometry:
     )
     theta_ext = tuple(math.pi - th for th in theta_int)
     lengths = tuple(float(x) for x in s.spins)
-    return TetGeometry(lengths, volume, theta_ext, True, cm)
+    return TetGeometry(lengths, volume, theta_ext, cm)
 
 
 def discriminant_check(s: SpinSextuple) -> tuple[float, float]:

@@ -31,10 +31,11 @@ class HalfInt:
         if isinstance(value, int):
             return cls(2 * value)
         if isinstance(value, Fraction):
-            twice = value * 2
-            if twice.denominator != 1:
-                raise ValueError(f"{value} is not a half-integer")
-            return cls(twice.numerator)
+            if value.denominator == 1:
+                return cls(2 * value.numerator)
+            if value.denominator == 2:
+                return cls(value.numerator)
+            raise ValueError(f"{value} is not a half-integer")
         raise TypeError(f"cannot build HalfInt from {type(value).__name__}")
 
     @classmethod

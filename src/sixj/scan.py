@@ -10,7 +10,6 @@ strict local maxima of |exact| on the scanned grid.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from .errors import InsufficientExtremaError, SixjError
 from .exact import ScaledFloat
 from .geometry import tet_from_spins
 from .symbols import sixj_exact, sixj_super_exact
-from .triangles import Parity, SpinSextuple, classify_parity, triangle_sums
+from .triangles import Parity, SpinSextuple, check_admissible, classify_parity, triangle_sums
 
 CSV_COLUMNS = (
     "k",
@@ -87,6 +86,11 @@ def scan(s: SpinSextuple, kind: str, k_list: list[int]) -> list[ScanRecord]:
         raise ValueError("scan k values must be strictly ascending")
     if not ks:
         return []
+    # as eval would at the first k: admissibility before any geometry error
+    try:
+        check_admissible(triangle_sums(s.scaled(ks[0])), "su2" if kind == "su2" else "osp12")
+    except SixjError as exc:
+        raise type(exc)(f"k={ks[0]}: {exc}") from exc
     geo = tet_from_spins(s)
     base_parity = classify_parity(triangle_sums(s)) if kind == "super" else None
     records = []
@@ -202,8 +206,3 @@ def write_json(records: list[ScanRecord], fh) -> None:
     json.dump([r.row() for r in records], fh, indent=2)
     fh.write("\n")
 
-
-def csv_text(records: list[ScanRecord]) -> str:
-    buf = io.StringIO()
-    write_csv(records, buf)
-    return buf.getvalue()

@@ -14,6 +14,13 @@ three parities; the per-parity forms fall out of the brackets.
 Since (t+1)! = t! (t+1), both sums are one kernel with monomial 1 + t for
 SU(2).  It nests the sum from the top term down over the term ratio on plain
 ints; the caller reduces the result once, as a single Fraction.
+
+Both evaluators run one pipeline on the doubled spins d = (2j1, ..., 2J3),
+read once from the sextuple: doubled triangle data and admissibility from
+the ``triangles`` core, the parity monomial scaled by 4 to integers, the
+frontal sign from sum d_i d_(i+3) and the prefactor arguments (p_j - v_i)//2
+and (v_i + 1)//2.  No HalfInt or Fraction is built before the sum; the
+public helpers below are adapters over the same functions.
 """
 
 from __future__ import annotations
@@ -23,16 +30,22 @@ from fractions import Fraction
 
 from .errors import EmptySumWarning, ShiftViolation
 from .exact import ExactSymbol, factorial, primes_up_to
+from .halfint import HalfInt
 from .triangles import (
     BetaDecomposition,
     Parity,
     SpinSextuple,
     TriangleData,
-    beta_decompose,
-    check_admissible,
+    _beta_split,
+    _check,
+    _sums,
     classify_parity,
-    triangle_sums,
 )
+
+
+def _jj(d) -> int:
+    """4 sum j*J = sum of the doubled opposite-edge products d_i d_(i+3)."""
+    return d[0] * d[3] + d[1] * d[4] + d[2] * d[5]
 
 
 def frontal_sign(s: SpinSextuple, t: TriangleData, k: int = 1) -> int:
@@ -43,10 +56,7 @@ def frontal_sign(s: SpinSextuple, t: TriangleData, k: int = 1) -> int:
     """
     if k % 2 == 0:
         return 1
-    four_sum = (
-        s.j1.twice * s.J1.twice + s.j2.twice * s.J2.twice + s.j3.twice * s.J3.twice
-    )
-    return -1 if four_sum % 2 else 1
+    return -1 if _jj(s.doubled()) % 2 else 1
 
 
 def frontal_sign_closed_form(parity: Parity, t: TriangleData, bd: BetaDecomposition | None = None) -> int:
@@ -89,24 +99,25 @@ def monomial_coefficients(
     bd: BetaDecomposition | None = None,
 ) -> tuple[Fraction, Fraction]:
     """(constant, linear) coefficients of the parity monomial in t."""
+    if parity is Parity.BETA and bd is None:
+        raise ValueError("beta monomial needs a BetaDecomposition")
+    beta = bd and [x.twice for x in (bd.v, bd.v_prime, bd.vbar, bd.vbar_prime,
+                                     bd.p, bd.pbar, bd.pbar_prime, bd.jstar)]
+    c0, c1 = _monomial4(parity, s.doubled(), beta)
+    return Fraction(c0, 4), Fraction(c1, 4)
+
+
+def _monomial4(parity: Parity, d, beta) -> tuple[int, int]:
+    """4 x (constant, linear) monomial coefficients, integers by construction.
+
+    d holds the doubled spins and beta the doubled split from _beta_split.
+    """
     if parity is Parity.ALPHA:
-        return Fraction(1), Fraction(0)
+        return 4, 0
     if parity is Parity.BETA:
-        if bd is None:
-            raise ValueError("beta monomial needs a BetaDecomposition")
-        two_jstar_plus1 = bd.jstar.as_fraction() * 2 + 1
-        c0 = (bd.pbar.as_fraction() + Fraction(1, 2)) * (
-            bd.pbar_prime.as_fraction() + Fraction(1, 2)
-        ) - bd.v.as_fraction() * bd.v_prime.as_fraction()
-        return c0, -two_jstar_plus1
-    # gamma: the spin sum equals half the quadrangle total
-    jj = (
-        s.j1.as_fraction() * s.J1.as_fraction()
-        + s.j2.as_fraction() * s.J2.as_fraction()
-        + s.j3.as_fraction() * s.J3.as_fraction()
-    )
-    spin_sum = sum((x.as_fraction() for x in s.spins), Fraction(0))
-    return 2 * jj + spin_sum + Fraction(1, 2), Fraction(-1)
+        v, v_prime, _, _, _, pbar, pbar_prime, jstar, *_ = beta
+        return (pbar + 1) * (pbar_prime + 1) - v * v_prime, -4 * (jstar + 1)
+    return 2 * _jj(d) + 2 * sum(d) + 2, -4
 
 
 def prefactor_standard(t: TriangleData) -> Fraction:
@@ -126,22 +137,18 @@ def prefactor_standard(t: TriangleData) -> Fraction:
     return Fraction(num, den)
 
 
-def _super_prefactor_args(t: TriangleData) -> tuple[list[int], list[int]]:
+def _super_prefactor_args(v, p) -> tuple[list[int], list[int]]:
     """Numerator and denominator factorial arguments of the parity prefactor.
 
-    Numerator: floor(p_j - v_i) over the twelve pairs; denominator:
-    floor(v_i + 1/2) over the four triangles.  Every argument must be a
-    non-negative integer, otherwise the parity data is inconsistent.
+    From doubled sums (v, p).  Numerator: floor(p_j - v_i) over the twelve
+    pairs; denominator: floor(v_i + 1/2) over the four triangles.  Every
+    argument must be a non-negative integer, otherwise the parity data is
+    inconsistent.
     """
-    nums = []
-    for pj in t.p:
-        for vi in t.v:
-            d = pj - vi
-            if d.twice < 0:
-                raise ShiftViolation(f"prefactor argument p - v = {d} is negative")
-            nums.append(d.twice // 2)
-    dens = [vi.floor_plus_half() for vi in t.v]
-    return nums, dens
+    if min(p) < max(v):
+        d = next(pj - vi for pj in p for vi in v if pj < vi)
+        raise ShiftViolation(f"prefactor argument p - v = {HalfInt(d)} is negative")
+    return [(pj - vi) // 2 for pj in p for vi in v], [(vi + 1) // 2 for vi in v]
 
 
 def prefactor_super(
@@ -162,7 +169,7 @@ def prefactor_super(
     actual = classify_parity(t)
     if actual is not parity:
         raise ShiftViolation(f"prefactor for {parity.value} requested on {actual.value} data")
-    nums, dens = _super_prefactor_args(t)
+    nums, dens = _super_prefactor_args(*t.doubled())
     top = 1
     bottom = 1
     for n in nums:
@@ -226,16 +233,16 @@ def _prefactor_symbol(nums: list[int], dens: list[int], coeff: Fraction) -> Exac
 
 def sixj_exact(s: SpinSextuple) -> ExactSymbol:
     """Exact SU(2) 6j symbol as a canonical (coeff, radicand) pair."""
-    t = triangle_sums(s)
-    check_admissible(t, "su2")
-    v_ints = [int(vi) for vi in t.v]
-    p_ints = [int(pj) for pj in t.p]
-    total = Fraction(*_alternating_sum(v_ints, p_ints, 1, 1))
-    if total == 0:
+    v, p = _sums(s.doubled())
+    _check(v, p, "su2")
+    w = [x // 2 for x in v]
+    m = [x // 2 for x in p]
+    num, den = _alternating_sum(w, m, 1, 1)
+    if num == 0:
         return ExactSymbol.zero()
-    nums = [pj - vi for pj in p_ints for vi in v_ints]
-    dens = [vi + 1 for vi in v_ints]
-    return _prefactor_symbol(nums, dens, total)
+    nums = [mj - wi for mj in m for wi in w]
+    dens = [wi + 1 for wi in w]
+    return _prefactor_symbol(nums, dens, Fraction(num, den))
 
 
 def sixj_super_exact(s: SpinSextuple) -> ExactSymbol:
@@ -247,23 +254,19 @@ def sixj_super_exact(s: SpinSextuple) -> ExactSymbol:
     hand-built input produces one, the exact value is zero and an
     EmptySumWarning is emitted.
     """
-    t = triangle_sums(s)
-    check_admissible(t, "osp12")
-    parity = classify_parity(t)
-    bd = beta_decompose(s, t) if parity is Parity.BETA else None
-    w = [vi.floor_plus_half() for vi in t.v]
-    m = [pj.floor_plus_half() for pj in t.p]
+    d = s.doubled()
+    v, p = _sums(d)
+    parity = _check(v, p, "osp12")
+    beta = _beta_split(d, v, p) if parity is Parity.BETA else None
+    w = [(x + 1) // 2 for x in v]
+    m = [(x + 1) // 2 for x in p]
     if max(w) > min(m):
         warnings.warn("empty summation range; exact value is 0", EmptySumWarning)
         return ExactSymbol.zero()
-    # the monomial coefficients are multiples of 1/4: sum with 4x them
-    c0, c1 = (4 * c for c in monomial_coefficients(parity, s, bd))
-    if c0.denominator != 1 or c1.denominator != 1:
-        raise ValueError(f"4 x monomial coefficients ({c0}, {c1}) are not integers")
-    num, den = _alternating_sum(w, m, c0.numerator, c1.numerator)
-    total = Fraction(num, 4 * den)
-    if total == 0:
+    # the sum runs with 4x the monomial, whose coefficients are then integers
+    num, den = _alternating_sum(w, m, *_monomial4(parity, d, beta))
+    if num == 0:
         return ExactSymbol.zero()
-    sign = frontal_sign(s, t, 1)
-    nums, dens = _super_prefactor_args(t)
-    return _prefactor_symbol(nums, dens, sign * total)
+    if _jj(d) % 2:
+        num = -num
+    return _prefactor_symbol(*_super_prefactor_args(v, p), Fraction(num, 4 * den))

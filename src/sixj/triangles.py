@@ -12,6 +12,12 @@ and the three column pair sums
 drive everything downstream: admissibility is the non-negativity of all
 twelve differences p_j - v_i, and the parity of a supersymmetric symbol is
 the count of integer v_i (4 -> alpha, 2 -> beta, 0 -> gamma).
+
+Every rule runs once, on plain doubled ints: ``SpinSextuple.doubled`` gives
+(2j1, 2j2, 2j3, 2J1, 2J2, 2J3), ``_sums`` the doubled v and p, and
+``_check``, ``_parity`` and ``_beta_split`` the admissibility, parity and
+beta bookkeeping.  The exact evaluators call that core directly; the public
+``TriangleData`` / ``HalfInt`` helpers are thin adapters over it.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .errors import IntegralityViolation, ParityViolation, TriangleViolation
 from .halfint import HalfInt
 
 Algebra = Literal["su2", "osp12"]
+_FIELD_NAMES = ("j1", "j2", "j3", "J1", "J2", "J3")
 
 
 class Parity(str, enum.Enum):
@@ -47,23 +54,29 @@ class SpinSextuple:
     J3: HalfInt
 
     def __post_init__(self):
-        for name, s in zip(self.field_names(), self.spins):
-            if s.twice < 0:
-                raise ValueError(f"spin {name} must be non-negative, got {s}")
+        if min(self.doubled()) < 0:
+            for name, s in zip(self.field_names(), self.spins):
+                if s.twice < 0:
+                    raise ValueError(f"spin {name} must be non-negative, got {s}")
 
     @staticmethod
     def field_names() -> tuple[str, ...]:
-        return ("j1", "j2", "j3", "J1", "J2", "J3")
+        return _FIELD_NAMES
 
     @property
     def spins(self) -> tuple[HalfInt, ...]:
         return (self.j1, self.j2, self.j3, self.J1, self.J2, self.J3)
 
+    def doubled(self) -> tuple[int, int, int, int, int, int]:
+        """The doubled spins (2j1, 2j2, 2j3, 2J1, 2J2, 2J3)."""
+        return (self.j1.twice, self.j2.twice, self.j3.twice,
+                self.J1.twice, self.J2.twice, self.J3.twice)
+
     @classmethod
     def of(cls, *values) -> "SpinSextuple":
         if len(values) != 6:
             raise ValueError("a sextuple needs exactly six spins")
-        return cls(*(HalfInt.of(v) for v in values))
+        return cls(*map(HalfInt.of, values))
 
     @classmethod
     def parse(cls, texts) -> "SpinSextuple":
@@ -99,30 +112,77 @@ class TriangleData:
     def p_sum(self) -> HalfInt:
         return self.p[0] + self.p[1] + self.p[2]
 
+    def doubled(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The doubled sums (2v, 2p) as plain int tuples."""
+        return tuple(x.twice for x in self.v), tuple(x.twice for x in self.p)
+
     def integer_v_count(self) -> int:
-        return sum(1 for vi in self.v if vi.is_integer)
+        return _integer_count(self.doubled()[0])
 
     def doubled_spins(self) -> tuple[int, ...]:
-        """The six doubled spins recovered from (v, p), in sextuple order.
+        """The six doubled spins recovered from (v, p), in sextuple order."""
+        return _recovered(*self.doubled())
 
-        2*j1 = v1+v4-p1, 2*j2 = v1+v2-p2, 2*j3 = v1+v3-p3,
-        2*J1 = v2+v3-p1, 2*J2 = v3+v4-p2, 2*J3 = v2+v4-p3.
-        """
-        v1, v2, v3, v4 = self.v
-        p1, p2, p3 = self.p
-        pairs = (
-            (v1 + v4, p1), (v1 + v2, p2), (v1 + v3, p3),
-            (v2 + v3, p1), (v3 + v4, p2), (v2 + v4, p3),
+
+_PARITY_BY_COUNT = {4: Parity.ALPHA, 2: Parity.BETA, 0: Parity.GAMMA}
+
+
+def _sums(d):
+    """Doubled triangle sums v and quadrangle sums p of doubled spins d."""
+    a, b, c, A, B, C = d
+    v = (a + b + c, A + b + C, A + B + c, a + B + C)
+    return v, (b + B + c + C, c + C + a + A, a + A + b + B)
+
+
+def _integer_count(v) -> int:
+    """How many of the doubled triangle sums v are even (integer sums)."""
+    return 4 - (v[0] & 1) - (v[1] & 1) - (v[2] & 1) - (v[3] & 1)
+
+
+def _recovered(v, p) -> tuple[int, ...]:
+    """Doubled 2*j1 = v1+v4-p1, 2*j2 = v1+v2-p2, 2*j3 = v1+v3-p3,
+    2*J1 = v2+v3-p1, 2*J2 = v3+v4-p2, 2*J3 = v2+v4-p3 of doubled (v, p)."""
+    v1, v2, v3, v4 = v
+    p1, p2, p3 = p
+    return (v1 + v4 - p1, v1 + v2 - p2, v1 + v3 - p3,
+            v2 + v3 - p1, v3 + v4 - p2, v2 + v4 - p3)
+
+
+def _parity(n_int: int) -> Parity:
+    parity = _PARITY_BY_COUNT.get(n_int)
+    if parity is None:
+        raise ParityViolation(f"integer triangle-sum count must be 0, 2 or 4, got {n_int}")
+    return parity
+
+
+def _check(v, p, algebra: Algebra) -> Parity:
+    """check_admissible on doubled (v, p); returns the parity on success."""
+    if min(p) < max(v):
+        pj, vi = next((pj, vi) for pj in p for vi in v if pj < vi)
+        raise TriangleViolation(
+            f"triangular inequality fails: p={HalfInt(pj)} < v={HalfInt(vi)}"
         )
-        return tuple((a - b).twice for a, b in pairs)
+    n_int = _integer_count(v)
+    if algebra == "su2":
+        if n_int != 4:
+            raise IntegralityViolation(
+                f"su2 requires integer triangle sums, got v={tuple(str(HalfInt(x)) for x in v)}"
+            )
+    elif algebra != "osp12":
+        raise ValueError(f"unknown algebra {algebra!r}")
+    parity = _parity(n_int)
+    for twice, name in zip(_recovered(v, p), _FIELD_NAMES):
+        if twice % 2:
+            raise IntegralityViolation(f"recovered 2*{name} = {twice}/2 is not an integer")
+        if twice < 0:
+            raise IntegralityViolation(f"recovered spin {name} is negative")
+    return parity
 
 
 def triangle_sums(s: SpinSextuple) -> TriangleData:
     """Triangle and quadrangle sums of a sextuple; p_sum == v_sum always."""
-    j1, j2, j3, J1, J2, J3 = s.spins
-    v = (j1 + j2 + j3, J1 + j2 + J3, J1 + J2 + j3, j1 + J2 + J3)
-    p = (j2 + J2 + j3 + J3, j3 + J3 + j1 + J1, j1 + J1 + j2 + J2)
-    return TriangleData(v, p)
+    v, p = _sums(s.doubled())
+    return TriangleData(tuple(map(HalfInt, v)), tuple(map(HalfInt, p)))
 
 
 def check_admissible(t: TriangleData, algebra: Algebra) -> None:
@@ -132,36 +192,13 @@ def check_admissible(t: TriangleData, algebra: Algebra) -> None:
     parity constraint on the count of integer v_i (all four for su2; 0, 2 or 4
     for osp12), and the integrality of the six recovered doubled spins.
     """
-    for pj in t.p:
-        for vi in t.v:
-            if (pj - vi).twice < 0:
-                raise TriangleViolation(
-                    f"triangular inequality fails: p={pj} < v={vi}"
-                )
-    n_int = t.integer_v_count()
-    if algebra == "su2":
-        if n_int != 4:
-            raise IntegralityViolation(
-                f"su2 requires integer triangle sums, got v={tuple(map(str, t.v))}"
-            )
-    elif algebra == "osp12":
-        if n_int % 2:
-            raise ParityViolation(
-                f"integer triangle-sum count must be 0, 2 or 4, got {n_int}"
-            )
-    else:
-        raise ValueError(f"unknown algebra {algebra!r}")
-    for twice, name in zip(t.doubled_spins(), SpinSextuple.field_names()):
-        if twice % 2:
-            raise IntegralityViolation(f"recovered 2*{name} = {twice}/2 is not an integer")
-        if twice < 0:
-            raise IntegralityViolation(f"recovered spin {name} is negative")
+    _check(*t.doubled(), algebra)
 
 
 def is_admissible(s: SpinSextuple, algebra: Algebra) -> bool:
     """Non-throwing admissibility test for a sextuple."""
     try:
-        check_admissible(triangle_sums(s), algebra)
+        _check(*_sums(s.doubled()), algebra)
     except (TriangleViolation, IntegralityViolation, ParityViolation):
         return False
     return True
@@ -169,14 +206,7 @@ def is_admissible(s: SpinSextuple, algebra: Algebra) -> bool:
 
 def classify_parity(t: TriangleData) -> Parity:
     """alpha / beta / gamma by the count of integer triangle sums (4 / 2 / 0)."""
-    n_int = t.integer_v_count()
-    if n_int == 4:
-        return Parity.ALPHA
-    if n_int == 2:
-        return Parity.BETA
-    if n_int == 0:
-        return Parity.GAMMA
-    raise ParityViolation(f"integer triangle-sum count must be 0, 2 or 4, got {n_int}")
+    return _parity(t.integer_v_count())
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,21 +230,49 @@ class BetaDecomposition:
     jstar_slot: int
 
 
-# Correlation table rows keyed by the pair of half-integer triangle indices:
-# (vbar indices, jstar slot, integer quadrangle index, integer triangle
-# indices, half-integer quadrangle indices), all 0-based into the v / p /
-# spin tuples.  Within-pair order follows the table; every downstream formula
-# is symmetric under swapping a pair.
-_BETA_TABLE: dict[frozenset[int], tuple[tuple[int, int], int, int, tuple[int, int], tuple[int, int]]] = {
-    frozenset({3, 0}): ((3, 0), 0, 0, (1, 2), (1, 2)),  # vbar = v4,v1 -> jstar j1, p1
-    frozenset({1, 0}): ((1, 0), 1, 1, (2, 3), (2, 0)),  # vbar = v2,v1 -> jstar j2, p2
-    frozenset({2, 0}): ((2, 0), 2, 2, (3, 1), (0, 1)),  # vbar = v3,v1 -> jstar j3, p3
-    frozenset({1, 2}): ((1, 2), 3, 0, (3, 0), (1, 2)),  # vbar = v2,v3 -> jstar J1, p1
-    frozenset({2, 3}): ((2, 3), 4, 1, (1, 0), (2, 0)),  # vbar = v3,v4 -> jstar J2, p2
-    frozenset({3, 1}): ((3, 1), 5, 2, (2, 0), (0, 1)),  # vbar = v4,v2 -> jstar J3, p3
+# Correlation table rows keyed by the pair of half-integer triangle indices,
+# as a bit mask (bit i set when v_i is a half-integer): (vbar indices, jstar
+# slot, integer quadrangle index, integer triangle indices, half-integer
+# quadrangle indices), all 0-based into the v / p / spin tuples.  Within-pair
+# order follows the table; every downstream formula is symmetric under
+# swapping a pair.
+_BETA_TABLE: dict[int, tuple[tuple[int, int], int, int, tuple[int, int], tuple[int, int]]] = {
+    0b1001: ((3, 0), 0, 0, (1, 2), (1, 2)),  # vbar = v4,v1 -> jstar j1, p1
+    0b0011: ((1, 0), 1, 1, (2, 3), (2, 0)),  # vbar = v2,v1 -> jstar j2, p2
+    0b0101: ((2, 0), 2, 2, (3, 1), (0, 1)),  # vbar = v3,v1 -> jstar j3, p3
+    0b0110: ((1, 2), 3, 0, (3, 0), (1, 2)),  # vbar = v2,v3 -> jstar J1, p1
+    0b1100: ((2, 3), 4, 1, (1, 0), (2, 0)),  # vbar = v3,v4 -> jstar J2, p2
+    0b1010: ((3, 1), 5, 2, (2, 0), (0, 1)),  # vbar = v4,v2 -> jstar J3, p3
 }
 
 _COMPANION_SLOT = {0: 3, 1: 4, 2: 5, 3: 0, 4: 1, 5: 2}
+
+
+def _beta_split(d, v, p) -> tuple[int, ...]:
+    """beta_decompose on doubled spins d and sums (v, p).
+
+    Returns (v, v', vbar, vbar', p, pbar, pbar', jstar) doubled, then the
+    jstar slot.
+    """
+    mask = (v[0] & 1) | (v[1] & 1) << 1 | (v[2] & 1) << 2 | (v[3] & 1) << 3
+    row = _BETA_TABLE.get(mask)
+    if row is None:
+        raise ParityViolation(
+            "beta decomposition needs exactly two half-integer triangles, "
+            f"got {4 - _integer_count(v)}"
+        )
+    (vb0, vb1), slot, p_idx, (vi0, vi1), (pb0, pb1) = row
+    split = (v[vi0], v[vi1], v[vb0], v[vb1], p[p_idx], p[pb0], p[pb1], d[slot], slot)
+    V, Vp, Vb, Vbp, P, Pb, Pbp, jstar, _ = split
+    lhs, rhs = Pb + Pbp - V - Vp, Vb + Vbp - P
+    if lhs != rhs or lhs != 2 * jstar:
+        raise ValueError(
+            "inconsistent beta decomposition: the two doubled-jstar formulas disagree "
+            f"({HalfInt(lhs)} vs {HalfInt(rhs)} vs 2*{HalfInt(jstar)})"
+        )
+    if P % 2 or V % 2 or Vp % 2:
+        raise ValueError("beta decomposition produced a non-integer p or v; caller bug")
+    return split
 
 
 def beta_decompose(s: SpinSextuple, t: TriangleData) -> BetaDecomposition:
@@ -223,37 +281,9 @@ def beta_decompose(s: SpinSextuple, t: TriangleData) -> BetaDecomposition:
     Both identities 2*jstar = pbar + pbar' - v - v' = vbar + vbar' - p must
     agree; a mismatch indicates inconsistent inputs and raises ValueError.
     """
-    half_idx = frozenset(i for i, vi in enumerate(t.v) if not vi.is_integer)
-    if len(half_idx) != 2:
-        raise ParityViolation(
-            f"beta decomposition needs exactly two half-integer triangles, got {len(half_idx)}"
-        )
-    (vb0, vb1), slot, p_idx, (vi0, vi1), (pb0, pb1) = _BETA_TABLE[half_idx]
-    spins = s.spins
-    jstar = spins[slot]
-    companion = spins[_COMPANION_SLOT[slot]]
-    decomp = BetaDecomposition(
-        v=t.v[vi0],
-        v_prime=t.v[vi1],
-        vbar=t.v[vb0],
-        vbar_prime=t.v[vb1],
-        p=t.p[p_idx],
-        pbar=t.p[pb0],
-        pbar_prime=t.p[pb1],
-        jstar=jstar,
-        jstar_companion=companion,
-        jstar_slot=slot,
-    )
-    lhs = decomp.pbar + decomp.pbar_prime - decomp.v - decomp.v_prime
-    rhs = decomp.vbar + decomp.vbar_prime - decomp.p
-    if lhs != rhs or lhs.twice != 2 * jstar.twice:
-        raise ValueError(
-            "inconsistent beta decomposition: the two doubled-jstar formulas disagree "
-            f"({lhs} vs {rhs} vs 2*{jstar})"
-        )
-    if not decomp.p.is_integer or not (decomp.v.is_integer and decomp.v_prime.is_integer):
-        raise ValueError("beta decomposition produced a non-integer p or v; caller bug")
-    return decomp
+    *halves, slot = _beta_split(s.doubled(), *t.doubled())
+    companion = s.spins[_COMPANION_SLOT[slot]]
+    return BetaDecomposition(*map(HalfInt, halves), companion, slot)
 
 
 def rescale(s: SpinSextuple, k: int) -> tuple[SpinSextuple, Parity]:

@@ -173,10 +173,33 @@ class TestInputBoundary:
 
     @pytest.mark.parametrize("k", ["1", "2", "3"])
     def test_asym_super_bad_face_exit_code(self, capsys, k):
+        # the sextuple breaks a triangular inequality, so OSP(1|2)
+        # admissibility fails before the geometry is built, as in eval
         code, out, err = run(capsys, "asym", "--kind", "super", "--k", k, *self.BAD_FACE)
-        assert code == 4
+        assert code == 3
         assert out == ""
-        assert "triangle inequality" in err
+        assert "triangular inequality fails" in err
+
+    @pytest.mark.parametrize("command", [
+        ("asym", "--kind", "super", "--k", "3"),
+        ("scan", "--kind", "super", "--k", "3"),
+        ("scan", "--kind", "su2", "--k", "3"),
+    ])
+    def test_exit_code_matches_eval_on_bad_face(self, capsys, command):
+        scaled = [str(3 * Fraction(x)) for x in self.BAD_FACE]
+        eval_code, _, eval_err = run(capsys, "eval", "--kind", command[2], *scaled)
+        code, out, err = run(capsys, *command, *self.BAD_FACE)
+        assert code == eval_code == 3
+        assert out == ""
+        assert eval_err.removeprefix("error: ") in err
+
+    def test_scan_su2_half_perimeter_flat_is_inadmissible(self, capsys):
+        # half-integer perimeters at k = 1 and a flat tetrahedron: eval's error wins
+        code, _, err = run(
+            capsys, "scan", "--kind", "su2", "--k", "1", "1/2", "1", "1", "1", "1", "1/2"
+        )
+        assert code == 3
+        assert "k=1: su2 requires integer triangle sums" in err
 
     def test_asym_su2_bad_face_is_inadmissible(self, capsys):
         code, out, _ = run(capsys, "asym", "--kind", "su2", "--k", "2", *self.BAD_FACE)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sixj import ExactSymbol, ScaledFloat, exact_to_scaled, factorial
 from sixj.exact import factorial_table, prime_exponent_in_factorial, squarefree_split
@@ -62,7 +64,7 @@ class TestExactSymbol:
             c = Fraction(rng.randint(-500, 500), rng.randint(1, 500))
             r = Fraction(rng.randint(0, 500), rng.randint(1, 500))
             x = ExactSymbol(c, r)
-            assert x.canonical() == x
+            assert ExactSymbol(x.coeff, x.radicand) == x
 
     def test_equality_agrees_with_sign_and_square(self):
         rng = random.Random(12)
@@ -164,3 +166,36 @@ class TestScaledFloat:
         for e in (-1074, -600, -52, 0, 52, 600, 1023):
             q = Fraction(2) ** e
             assert ScaledFloat.from_fraction(q) == ScaledFloat(1.0, e)
+
+
+_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+def _squarefree(n: int) -> bool:
+    return all(n % (q * q) for q in range(2, math.isqrt(n) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    num=st.integers(-60, 60),
+    den=st.integers(1, 60),
+    exps=st.dictionaries(st.sampled_from(_PRIMES), st.integers(-9, 9), max_size=8),
+)
+@example(num=0, den=1, exps={2: 3, 3: -1})
+@example(num=5, den=3, exps={})
+@example(num=-7, den=2, exps={2: 0, 5: -3, 7: 4})
+def test_from_prime_exponents_is_canonical(num, den, exps):
+    coeff = Fraction(num, den)
+    v = ExactSymbol.from_prime_exponents(coeff, exps)
+    again = ExactSymbol(v.coeff, v.radicand)
+    assert (v.coeff, v.radicand) == (again.coeff, again.radicand)
+    rn, rd = v.radicand.numerator, v.radicand.denominator
+    assert rn > 0 and _squarefree(rn) and _squarefree(rd) and math.gcd(rn, rd) == 1
+    # the same value: sign and square agree with coeff * sqrt(prod p**e)
+    square = coeff * coeff
+    for p, e in exps.items():
+        square *= Fraction(p) ** e
+    assert v.sign == (num > 0) - (num < 0)
+    assert v.squared() == square
+    if num == 0:
+        assert v.radicand == 1

@@ -70,3 +70,31 @@ def test_conversions():
 def test_scalar_multiply():
     assert 3 * HalfInt(1) == HalfInt(3)
     assert HalfInt(5) * 2 == HalfInt(10)
+
+
+class TestOfEdge:
+    @pytest.mark.parametrize(
+        "value,twice",
+        [(3, 6), (0, 0), (Fraction(3, 2), 3), (Fraction(4, 2), 4), (Fraction(-1, 2), -1)],
+    )
+    def test_exact_halves(self, value, twice):
+        assert HalfInt.of(value) == HalfInt(twice)
+
+    def test_bool_is_an_int(self):
+        assert HalfInt.of(True) == HalfInt(2)
+
+    def test_non_half_fraction(self):
+        with pytest.raises(ValueError, match=r"^1/3 is not a half-integer$"):
+            HalfInt.of(Fraction(1, 3))
+
+    def test_quarter_fraction(self):
+        with pytest.raises(ValueError, match=r"^5/4 is not a half-integer$"):
+            HalfInt.of(Fraction(5, 4))
+
+    def test_float_is_rejected(self):
+        with pytest.raises(TypeError, match=r"^cannot build HalfInt from float$"):
+            HalfInt.of(1.5)
+
+    def test_text_is_rejected(self):
+        with pytest.raises(TypeError, match=r"^cannot build HalfInt from str$"):
+            HalfInt.of("1/2")

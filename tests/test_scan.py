@@ -16,13 +16,19 @@ from sixj import (
     scan,
     sixj_exact,
     sixj_super_exact,
+    write_csv,
     write_json,
 )
-from sixj.scan import csv_text
 
 HALF = Fraction(1, 2)
 ALL_ONES = SpinSextuple.of(1, 1, 1, 1, 1, 1)
 ALL_HALVES = SpinSextuple.of(*([HALF] * 6))
+
+
+def csv_text(records: list[ScanRecord]) -> str:
+    buf = io.StringIO()
+    write_csv(records, buf)
+    return buf.getvalue()
 
 
 def synthetic_records(power: float, omega: float = 0.9, ks=range(5, 120)) -> list[ScanRecord]:

@@ -256,7 +256,7 @@ class TestAlternatingSum:
 
     def test_hand_built_empty_range_warns(self, monkeypatch):
         # admissibility excludes empty ranges; bypass it to reach the guard
-        monkeypatch.setattr(symbols, "check_admissible", lambda t, algebra: None)
+        monkeypatch.setattr(symbols, "_check", lambda v, p, algebra: Parity.ALPHA)
         s = SpinSextuple.of(4, 1, 1, 1, 1, 4)  # max floor(v + 1/2) = 9 > min floor(p + 1/2) = 7
         with pytest.warns(EmptySumWarning):
             assert sixj_super_exact(s) == ExactSymbol.zero()

@@ -169,3 +169,30 @@ class TestRescale:
         for s in random_admissible(rng, n=100):
             for k in (2, 3, 5):
                 assert is_admissible(s.scaled(k), "osp12")
+
+
+class TestSextupleEdge:
+    @pytest.mark.parametrize("slot,name", list(enumerate(("j1", "j2", "j3", "J1", "J2", "J3"))))
+    def test_negative_spin_names_its_slot(self, slot, name):
+        spins = [1] * 6
+        spins[slot] = -HALF
+        with pytest.raises(ValueError, match=rf"^spin {name} must be non-negative, got -1/2$"):
+            SpinSextuple.of(*spins)
+
+    def test_first_negative_slot_is_reported(self):
+        with pytest.raises(ValueError, match=r"^spin j2 must be non-negative, got -1$"):
+            SpinSextuple.of(1, -1, 1, -2, 1, 1)
+
+    def test_wrong_count(self):
+        with pytest.raises(ValueError, match=r"^a sextuple needs exactly six spins$"):
+            SpinSextuple.of(1, 1, 1, 1, 1)
+
+    def test_non_half_fraction_spin(self):
+        with pytest.raises(ValueError, match=r"^1/3 is not a half-integer$"):
+            SpinSextuple.of(1, 1, 1, 1, 1, Fraction(1, 3))
+
+    def test_bool_spin_is_an_int(self):
+        assert SpinSextuple.of(True, 1, 1, 1, 1, 1) == SpinSextuple.of(1, 1, 1, 1, 1, 1)
+
+    def test_doubled(self):
+        assert SpinSextuple.of(HALF, 1, 0, 2, Fraction(3, 2), 3).doubled() == (1, 2, 0, 4, 3, 6)
