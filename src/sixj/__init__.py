@@ -7,18 +7,11 @@ harness comparing the two.
 
 from .asymptotics import (
     AsymptoticResult,
-    ShiftPair,
     asym_alpha,
     asym_beta,
     asym_for_scaled,
     asym_gamma,
     asym_standard,
-    dihedral_phase,
-    saddle_coeff_a,
-    saddle_coeff_b,
-    saddle_coeff_c,
-    shift_from_components,
-    shift_pair,
 )
 from .errors import (
     AdmissibilityError,
@@ -35,7 +28,15 @@ from .errors import (
     UndefinedShiftError,
 )
 from .exact import ExactSymbol, ScaledFloat, exact_to_scaled, factorial
-from .geometry import TetGeometry, cayley_menger, discriminant_check, tet_from_spins
+from .geometry import (
+    TetGeometry,
+    cayley_menger,
+    discriminant_check,
+    saddle_coeff_a,
+    saddle_coeff_b,
+    saddle_coeff_c,
+    tet_from_spins,
+)
 from .halfint import HalfInt, parse_halfint
 from .scan import (
     ScanRecord,
@@ -53,8 +54,6 @@ from .symbols import (
     frontal_sign_closed_form,
     monomial,
     monomial_coefficients,
-    prefactor_standard,
-    prefactor_super,
     sixj_exact,
     sixj_super_exact,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "ParityViolation",
     "ScaledFloat",
     "ScanRecord",
-    "ShiftPair",
     "ShiftViolation",
     "SixjError",
     "SlopeFit",
@@ -107,7 +105,6 @@ __all__ = [
     "cayley_menger",
     "check_admissible",
     "classify_parity",
-    "dihedral_phase",
     "discriminant_check",
     "envelope_slope",
     "exact_to_scaled",
@@ -120,16 +117,12 @@ __all__ = [
     "monomial",
     "monomial_coefficients",
     "parse_halfint",
-    "prefactor_standard",
-    "prefactor_super",
     "read_csv",
     "rescale",
     "saddle_coeff_a",
     "saddle_coeff_b",
     "saddle_coeff_c",
     "scan",
-    "shift_from_components",
-    "shift_pair",
     "sixj_exact",
     "sixj_super_exact",
     "tet_from_spins",

@@ -7,31 +7,38 @@ volume, triangle products, shift magnitudes) is evaluated on the UNSCALED
 sextuple; k enters only through sqrt(k) factors and the linear-in-k cosine
 arguments built from the exterior dihedral angles.
 
-The two-term forms a*cos(x) + b*sin(x) are presented as N*cos(x - psi) with a
-quadrant-correct psi = atan2(b, a).  For beta parity the cosine coefficient
-carries both the 2*prod(v_i)*(v+v'-pbar-pbar') term and the B*(pbar*pbar'-vv')
-term, and the fourth-root factor uses the grouping that reproduces the exact
-evaluator at large k (see the acceptance tests).
+All three supersymmetric parities share one formula, built by one router on
+the doubled spins:
+
+    N cos(pi/4 + phase - psi) / sqrt(48 pi k V) x (per-parity factor)
+
+- the phase sums (k j + 1/2) theta_j over the six edges; gamma drops the
+  half offsets and beta adds theta_jstar / 2;
+- alpha and gamma take (N, psi) from B cos x + 24V sin x, gamma with psi
+  negated; beta combines the cosine coefficient 2C(v+v'-pbar-pbar') +
+  B(pbar pbar' - v v') with 24V (pbar pbar' - v v');
+- the factor is 1/sqrt(prod v_i) for alpha and gamma; for beta it is the
+  sqrt((p-v)(p-v') / (vbar vbar')) factor and the fourth roots over the
+  mixed quadrangle-triangle differences, with the grouping that reproduces
+  the exact evaluator at large k (see the acceptance tests);
+- the global sign is the exact evaluator's frontal sign: the angle gains pi
+  when k * 4 sum j*J is odd.
+
+Even k always takes the alpha formula.  The two-term forms a cos(x) +
+b sin(x) are presented as N cos(x - psi) with a quadrant-correct
+psi = atan2(b, a).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DegenerateFactorError, KParityError, UndefinedShiftError
-from .geometry import TetGeometry, tet_from_spins
-from .triangles import (
-    BetaDecomposition,
-    Parity,
-    SpinSextuple,
-    TriangleData,
-    beta_decompose,
-    check_admissible,
-    classify_parity,
-    triangle_sums,
-)
+from .geometry import TetGeometry, _saddle, tet_from_spins
+# bound here as well: perfbench/tracer.py resolves the saddle coefficients in this module
+from .geometry import saddle_coeff_a, saddle_coeff_b, saddle_coeff_c  # noqa: F401
+from .triangles import Parity, SpinSextuple, _beta_split, _check, _integer_count, _jj, _parity, _sums
 
 STANDARD = "standard"
 
@@ -65,94 +72,97 @@ def shift_from_components(a: float, b: float) -> ShiftPair:
     return ShiftPair(math.hypot(a, b), math.atan2(b, a))
 
 
-def saddle_coeff_a(s: SpinSextuple) -> Fraction:
-    """Twice the sum of opposite-edge spin products: 2(j1 J1 + j2 J2 + j3 J3)."""
-    return 2 * _opposite_product_sum(s)
+def _shift(parity: Parity, d, v, split, vol24: float) -> ShiftPair:
+    """(N, psi) from the doubled spins d, sums v and, for beta, the split."""
+    _, b4, c16 = _saddle(d, v)
+    if split is None:
+        sp = shift_from_components(b4 / 4, vol24)
+        return sp if parity is Parity.ALPHA else ShiftPair(sp.magnitude, -sp.phase)
+    V, Vp, _, _, _, Pb, Pbp, *_ = split
+    w4 = Pb * Pbp - V * Vp
+    return shift_from_components((c16 * (V + Vp - Pb - Pbp) + b4 * w4) / 16, vol24 * (w4 / 4))
 
 
-def saddle_coeff_b(s: SpinSextuple) -> Fraction:
-    """Volume-dimension coefficient (sum j*J)(sum p) + 2(j1j2j3 + j1J2J3 + j2J3J1 + j3J1J2)."""
-    j1, j2, j3, J1, J2, J3 = (x.as_fraction() for x in s.spins)
-    p_total = 2 * (j1 + j2 + j3 + J1 + J2 + J3)
-    triples = j1 * j2 * j3 + j1 * J2 * J3 + j2 * J3 * J1 + j3 * J1 * J2
-    return _opposite_product_sum(s) * p_total + 2 * triples
+def _phase(d, k: int, theta, gamma: bool = False, slot: int | None = None) -> float:
+    """sum (k j + 1/2) theta_j, or k sum j theta_j for gamma, plus theta_slot / 2."""
+    spins = [x / 2.0 for x in d]
+    if gamma:
+        return k * sum(j * t for j, t in zip(spins, theta))
+    total = sum((k * j + 0.5) * t for j, t in zip(spins, theta))
+    return total if slot is None else total + 0.5 * theta[slot]
 
 
-def saddle_coeff_c(t: TriangleData) -> Fraction:
-    """Product of the four triangle sums."""
-    out = Fraction(1)
-    for vi in t.v:
-        out *= vi.as_fraction()
-    return out
-
-
-def _opposite_product_sum(s: SpinSextuple) -> Fraction:
-    j1, j2, j3, J1, J2, J3 = (x.as_fraction() for x in s.spins)
-    return j1 * J1 + j2 * J2 + j3 * J3
-
-
-def _beta_components(
-    s: SpinSextuple, t: TriangleData, bd: BetaDecomposition, vol24: float
-) -> tuple[float, float]:
-    """Cosine and sine coefficients of the beta two-term form."""
-    c = saddle_coeff_c(t)
-    b = saddle_coeff_b(s)
-    w = bd.pbar.as_fraction() * bd.pbar_prime.as_fraction() - bd.v.as_fraction() * bd.v_prime.as_fraction()
-    u = bd.v.as_fraction() + bd.v_prime.as_fraction() - bd.pbar.as_fraction() - bd.pbar_prime.as_fraction()
-    return float(2 * c * u + b * w), vol24 * float(w)
-
-
-def shift_pair(
-    parity: Parity,
-    s: SpinSextuple,
-    t: TriangleData | None = None,
-    bd: BetaDecomposition | None = None,
-    geo: TetGeometry | None = None,
-) -> ShiftPair:
+def shift_pair(parity: Parity, s: SpinSextuple, geo: TetGeometry | None = None) -> ShiftPair:
     """Per-parity (N, psi) of the oscillatory part.
 
     alpha: N = sqrt(B^2 + (24V)^2), psi = atan2(24V, B); gamma shares N with
     psi negated; beta combines the full cosine coefficient (including the
     B-term) with 24V*(pbar*pbar' - vv').
     """
-    t = t or triangle_sums(s)
+    d = s.doubled()
+    v, p = _sums(d)
     geo = geo or tet_from_spins(s)
-    vol24 = 24.0 * geo.volume
-    if parity is Parity.ALPHA:
-        return shift_from_components(float(saddle_coeff_b(s)), vol24)
-    if parity is Parity.GAMMA:
-        base = shift_from_components(float(saddle_coeff_b(s)), vol24)
-        return ShiftPair(base.magnitude, -base.phase)
-    bd = bd or beta_decompose(s, t)
-    a, b = _beta_components(s, t, bd, vol24)
-    return shift_from_components(a, b)
+    split = _beta_split(d, v, p) if parity is Parity.BETA else None
+    return _shift(parity, d, v, split, 24.0 * geo.volume)
 
 
-def dihedral_phase(
-    kind: str,
-    s: SpinSextuple,
-    k: int,
-    geo: TetGeometry,
-    jstar_slot: int | None = None,
-) -> float:
+def dihedral_phase(parity: Parity | None, s: SpinSextuple, k: int, geo: TetGeometry) -> float:
     """Accumulated dihedral-angle phase of the cosine argument.
 
-    standard / alpha: sum (k*j + 1/2) theta_j over all six edges;
+    None (standard) / alpha: sum (k*j + 1/2) theta_j over all six edges;
     gamma: k * sum j theta_j (no half offsets);
     beta: the alpha form plus theta_jstar / 2 (one edge promoted to k*j + 1).
     """
-    spins = [float(x) for x in s.spins]
-    th = geo.theta_ext
-    if kind == "gamma":
-        return k * sum(j * t for j, t in zip(spins, th))
-    total = sum((k * j + 0.5) * t for j, t in zip(spins, th))
-    if kind == "beta":
-        if jstar_slot is None:
-            raise ValueError("beta phase needs the jstar slot")
-        return total + 0.5 * th[jstar_slot]
-    if kind in ("standard", "alpha"):
-        return total
-    raise ValueError(f"unknown phase kind {kind!r}")
+    d = s.doubled()
+    slot = _beta_split(d, *_sums(d))[-1] if parity is Parity.BETA else None
+    return _phase(d, k, geo.theta_ext, parity is Parity.GAMMA, slot)
+
+
+def _beta_factors(v, p, split) -> tuple[float, float, float]:
+    """sqrt argument, fourth-root ratio and fourth-root area of the beta amplitude."""
+    area = math.prod(pj - vi for pj in p for vi in v) * math.prod(v)
+    if area <= 0:
+        raise DegenerateFactorError("degenerate triangle: fourth-root area factor vanishes")
+    V, Vp, Vb, Vbp, P, Pb, Pbp, *_ = split
+    mixed_int = (P - V) * (P - Vp) * (Pb - V) * (Pb - Vp) * (Pbp - V) * (Pbp - Vp) * V * Vp
+    mixed_half = (Pb - Vb) * (Pb - Vbp) * (Pbp - Vb) * (Pbp - Vbp) * (P - Vb) * (P - Vbp) * Vb * Vbp
+    front = (P - V) * (P - Vp) / (Vb * Vbp)
+    if front <= 0 or mixed_int <= 0 or mixed_half <= 0:
+        raise DegenerateFactorError("degenerate triangle: fourth-root factor vanishes")
+    # each ratio of doubled ints is the rational of the spin form, rounded once
+    return front, mixed_half / mixed_int, area / 65536
+
+
+def _route(s: SpinSextuple, k: int, geo: TetGeometry | None, d, v, p, parity: Parity) -> AsymptoticResult:
+    """The one supersymmetric formula for a sextuple whose k-scaled parity is known."""
+    geo = geo or tet_from_spins(s)
+    split = _beta_split(d, v, p) if parity is Parity.BETA else None
+    factors = _beta_factors(v, p, split) if split else None
+    sp = _shift(parity, d, v, split, 24.0 * geo.volume)
+    root = math.sqrt(48.0 * math.pi * k * geo.volume)
+    if factors is None:
+        amplitude = sp.magnitude / (root * math.sqrt(math.prod(v) / 16))
+    else:
+        front, ratio, area = factors
+        amplitude = sp.magnitude * math.sqrt(front) * ratio ** 0.25 / (root * area ** 0.25)
+    slot = split[-1] if split else None
+    angle = 0.25 * math.pi + _phase(d, k, geo.theta_ext, parity is Parity.GAMMA, slot) - sp.phase
+    if k * _jj(d) % 2:
+        angle += math.pi
+    return AsymptoticResult(amplitude, angle, amplitude * math.cos(angle), parity.value)
+
+
+def _prepared(s: SpinSextuple, k: int):
+    """(d, v, p): the doubled spins and their sums, read once per call."""
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    d = s.doubled()
+    return (d, *_sums(d))
+
+
+def _check_scaled(v, p, k: int, algebra) -> Parity:
+    """The exact evaluator's admissibility check of k*s, from the unscaled sums."""
+    return _check([k * x for x in v], [k * x for x in p], algebra)
 
 
 def asym_standard(s: SpinSextuple, k: int, geo: TetGeometry | None = None) -> AsymptoticResult:
@@ -161,12 +171,11 @@ def asym_standard(s: SpinSextuple, k: int, geo: TetGeometry | None = None) -> As
     Raises the AdmissibilityError of the exact evaluator unless the rescaled
     sextuple k*s is SU(2)-admissible.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    check_admissible(triangle_sums(s.scaled(k)), "su2")
+    d, v, p = _prepared(s, k)
+    _check_scaled(v, p, k, "su2")
     geo = geo or tet_from_spins(s)
     amplitude = 1.0 / math.sqrt(12.0 * math.pi * k**3 * geo.volume)
-    angle = 0.25 * math.pi + dihedral_phase("standard", s, k, geo)
+    angle = 0.25 * math.pi + _phase(d, k, geo.theta_ext)
     return AsymptoticResult(amplitude, angle, amplitude * math.cos(angle), STANDARD)
 
 
@@ -175,18 +184,19 @@ def asym_alpha(s: SpinSextuple, k: int, geo: TetGeometry | None = None) -> Asymp
 
     N_alpha * cos(pi/4 + phi_k - psi_alpha) / (sqrt(48 pi k V) sqrt(prod v_i)).
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    t = triangle_sums(s)
-    if k % 2 and classify_parity(t) is not Parity.ALPHA:
+    d, v, p = _prepared(s, k)
+    if k % 2 and _parity(_integer_count(v)) is not Parity.ALPHA:
         raise KParityError("odd-k alpha formula needs an alpha-parity sextuple")
-    geo = geo or tet_from_spins(s)
-    sp = shift_pair(Parity.ALPHA, s, t, geo=geo)
-    amplitude = sp.magnitude / (
-        math.sqrt(48.0 * math.pi * k * geo.volume) * math.sqrt(float(saddle_coeff_c(t)))
-    )
-    angle = 0.25 * math.pi + dihedral_phase("alpha", s, k, geo) - sp.phase
-    return AsymptoticResult(amplitude, angle, amplitude * math.cos(angle), Parity.ALPHA.value)
+    return _route(s, k, geo, d, v, p, Parity.ALPHA)
+
+
+def _odd_k(s: SpinSextuple, k: int, geo: TetGeometry | None, parity: Parity) -> AsymptoticResult:
+    d, v, p = _prepared(s, k)
+    if k % 2 == 0:
+        raise KParityError(f"{parity.value} formula holds for odd k; use the alpha formula for even k")
+    if _parity(_integer_count(v)) is not parity:
+        raise KParityError(f"{parity.value} formula needs a {parity.value}-parity sextuple")
+    return _route(s, k, geo, d, v, p, parity)
 
 
 def asym_gamma(s: SpinSextuple, k: int, geo: TetGeometry | None = None) -> AsymptoticResult:
@@ -201,30 +211,10 @@ def asym_gamma(s: SpinSextuple, k: int, geo: TetGeometry | None = None) -> Asymp
     the exact evaluator confirms it (the envelope ratio converges to 1 with
     the factor and to sqrt(prod v_i) without it).
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if k % 2 == 0:
-        raise KParityError("gamma formula holds for odd k; use the alpha formula for even k")
-    t = triangle_sums(s)
-    if classify_parity(t) is not Parity.GAMMA:
-        raise KParityError("gamma formula needs a gamma-parity sextuple")
-    geo = geo or tet_from_spins(s)
-    sp = shift_pair(Parity.ALPHA, s, t, geo=geo)
-    amplitude = sp.magnitude / (
-        math.sqrt(48.0 * math.pi * k * geo.volume) * math.sqrt(float(saddle_coeff_c(t)))
-    )
-    angle = 0.25 * math.pi + dihedral_phase("gamma", s, k, geo) + sp.phase
-    if (1 + int(t.p_sum)) % 2:
-        angle += math.pi
-    return AsymptoticResult(amplitude, angle, amplitude * math.cos(angle), Parity.GAMMA.value)
+    return _odd_k(s, k, geo, Parity.GAMMA)
 
 
-def asym_beta(
-    s: SpinSextuple,
-    k: int,
-    geo: TetGeometry | None = None,
-    bd: BetaDecomposition | None = None,
-) -> AsymptoticResult:
+def asym_beta(s: SpinSextuple, k: int, geo: TetGeometry | None = None) -> AsymptoticResult:
     """Large odd-k beta supersymmetric symbol.
 
     Combines the area-dimension fourth root of prod (p_j - v_i) * prod v_i,
@@ -232,45 +222,7 @@ def asym_beta(
     over the six mixed quadrangle-triangle differences, and the shifted
     cosine with the beta phase (the jstar edge carries an extra half angle).
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if k % 2 == 0:
-        raise KParityError("beta formula holds for odd k; use the alpha formula for even k")
-    t = triangle_sums(s)
-    if classify_parity(t) is not Parity.BETA:
-        raise KParityError("beta formula needs a beta-parity sextuple")
-    geo = geo or tet_from_spins(s)
-    bd = bd or beta_decompose(s, t)
-
-    area4 = Fraction(1)
-    for pj in t.p:
-        for vi in t.v:
-            area4 *= (pj - vi).as_fraction()
-    for vi in t.v:
-        area4 *= vi.as_fraction()
-    if area4 <= 0:
-        raise DegenerateFactorError("degenerate triangle: fourth-root area factor vanishes")
-
-    p, v, vp = bd.p.as_fraction(), bd.v.as_fraction(), bd.v_prime.as_fraction()
-    pb, pbp = bd.pbar.as_fraction(), bd.pbar_prime.as_fraction()
-    vb, vbp = bd.vbar.as_fraction(), bd.vbar_prime.as_fraction()
-    front = (p - v) * (p - vp) / (vb * vbp)
-    mixed_int = (p - v) * (p - vp) * (pb - v) * (pb - vp) * (pbp - v) * (pbp - vp) * v * vp
-    mixed_half = (pb - vb) * (pb - vbp) * (pbp - vb) * (pbp - vbp) * (p - vb) * (p - vbp) * vb * vbp
-    if front <= 0 or mixed_int <= 0 or mixed_half <= 0:
-        raise DegenerateFactorError("degenerate triangle: fourth-root factor vanishes")
-
-    sp = shift_pair(Parity.BETA, s, t, bd, geo=geo)
-    amplitude = (
-        sp.magnitude
-        * math.sqrt(float(front))
-        * float(mixed_half / mixed_int) ** 0.25
-        / (math.sqrt(48.0 * math.pi * k * geo.volume) * float(area4) ** 0.25)
-    )
-    angle = 0.25 * math.pi + dihedral_phase("beta", s, k, geo, bd.jstar_slot) - sp.phase
-    if int(bd.v + bd.v_prime - bd.p) % 2:
-        angle += math.pi
-    return AsymptoticResult(amplitude, angle, amplitude * math.cos(angle), Parity.BETA.value)
+    return _odd_k(s, k, geo, Parity.BETA)
 
 
 def asym_for_scaled(s: SpinSextuple, k: int, geo: TetGeometry | None = None) -> AsymptoticResult:
@@ -279,12 +231,8 @@ def asym_for_scaled(s: SpinSextuple, k: int, geo: TetGeometry | None = None) -> 
     Raises the AdmissibilityError of the exact evaluator unless the rescaled
     sextuple k*s is OSP(1|2)-admissible, before any geometry is built.
     """
-    t = triangle_sums(s.scaled(k))
-    check_admissible(t, "osp12")
-    parity = classify_parity(t)
-    geo = geo or tet_from_spins(s)
-    if parity is Parity.ALPHA:
-        return asym_alpha(s, k, geo)
-    if parity is Parity.GAMMA:
-        return asym_gamma(s, k, geo)
-    return asym_beta(s, k, geo)
+    if k < 1:
+        raise ValueError(f"scale factor must be a positive integer, got {k}")
+    d = s.doubled()
+    v, p = _sums(d)
+    return _route(s, k, geo, d, v, p, _check_scaled(v, p, k, "osp12"))

@@ -6,6 +6,10 @@ the symbol.  The squared-distance (Cayley-Menger) determinant is evaluated in
 exact rational arithmetic, so flatness tests never suffer cancellation; the
 dihedral angles come from an explicit floating-point embedding (base face in
 the plane, apex solved from the three remaining lengths).
+
+The saddle coefficients A, B, C of the asymptotics live here too, as exact
+integers on the doubled spins, because the identity 4AC - B^2 = 576 V^2 ties
+them to the same determinant.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonEuclideanError
-from .triangles import SpinSextuple, triangle_sums
+from .triangles import SpinSextuple, TriangleData, _jj, _sums
 
 # CM determinants below DEGENERACY_RTOL * (max edge)^6 count as flat
 DEGENERACY_RTOL = Fraction(1, 10**12)
@@ -168,6 +172,33 @@ def tet_from_spins(s: SpinSextuple) -> TetGeometry:
     return TetGeometry(lengths, volume, theta_ext, cm)
 
 
+def _saddle(d, v) -> tuple[int, int, int]:
+    """(2A, 4B, 16C) on doubled spins d and doubled triangle sums v, as ints.
+
+    With j = d/2: 2A = sum d_i d_(i+3), 4B = that sum times sum d plus the
+    four doubled vertex triples, 16C = prod v.
+    """
+    a, b, c, A, B, C = d
+    jj = _jj(d)
+    return jj, jj * sum(d) + a * b * c + a * B * C + b * C * A + c * A * B, math.prod(v)
+
+
+def saddle_coeff_a(s: SpinSextuple) -> Fraction:
+    """Twice the sum of opposite-edge spin products: 2(j1 J1 + j2 J2 + j3 J3)."""
+    return Fraction(_jj(s.doubled()), 2)
+
+
+def saddle_coeff_b(s: SpinSextuple) -> Fraction:
+    """Volume-dimension coefficient (sum j*J)(sum p) + 2(j1j2j3 + j1J2J3 + j2J3J1 + j3J1J2)."""
+    d = s.doubled()
+    return Fraction(_saddle(d, _sums(d)[0])[1], 4)
+
+
+def saddle_coeff_c(t: TriangleData) -> Fraction:
+    """Product of the four triangle sums."""
+    return Fraction(math.prod(t.doubled()[0]), 16)
+
+
 def discriminant_check(s: SpinSextuple) -> tuple[float, float]:
     """(4AC - B^2, 576 V^2) for comparison; no Euclidean requirement.
 
@@ -175,12 +206,6 @@ def discriminant_check(s: SpinSextuple) -> tuple[float, float]:
     exact Cayley-Menger determinant (576 V^2 = 2 CM, defined for any input
     even when no tetrahedron exists and the common value is <= 0).
     """
-    from .asymptotics import saddle_coeff_a, saddle_coeff_b, saddle_coeff_c
-
-    t = triangle_sums(s)
-    a = saddle_coeff_a(s)
-    b = saddle_coeff_b(s)
-    c = saddle_coeff_c(t)
-    delta_alg = 4 * a * c - b * b
-    delta_geo = 2 * cayley_menger(s)
-    return float(delta_alg), float(delta_geo)
+    d = s.doubled()
+    a2, b4, c16 = _saddle(d, _sums(d)[0])
+    return (2 * a2 * c16 - b4 * b4) / 16, float(2 * cayley_menger(s))

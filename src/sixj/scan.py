@@ -19,7 +19,7 @@ from .errors import InsufficientExtremaError, SixjError
 from .exact import ScaledFloat
 from .geometry import tet_from_spins
 from .symbols import sixj_exact, sixj_super_exact
-from .triangles import Parity, SpinSextuple, check_admissible, classify_parity, triangle_sums
+from .triangles import SpinSextuple, check_admissible, triangle_sums
 
 CSV_COLUMNS = (
     "k",
@@ -92,7 +92,6 @@ def scan(s: SpinSextuple, kind: str, k_list: list[int]) -> list[ScanRecord]:
     except SixjError as exc:
         raise type(exc)(f"k={ks[0]}: {exc}") from exc
     geo = tet_from_spins(s)
-    base_parity = classify_parity(triangle_sums(s)) if kind == "super" else None
     records = []
     for k in ks:
         scaled = s.scaled(k)
@@ -104,7 +103,7 @@ def scan(s: SpinSextuple, kind: str, k_list: list[int]) -> list[ScanRecord]:
             else:
                 exact = sixj_super_exact(scaled).to_scaled()
                 res = asym_for_scaled(s, k, geo)
-                parity = (base_parity if k % 2 else Parity.ALPHA).value
+                parity = res.parity_used
         except SixjError as exc:
             raise type(exc)(f"k={k}: {exc}") from exc
         records.append(

@@ -38,17 +38,12 @@ from .triangles import (
     TriangleData,
     _beta_split,
     _check,
+    _jj,
     _sums,
-    classify_parity,
 )
 
 
-def _jj(d) -> int:
-    """4 sum j*J = sum of the doubled opposite-edge products d_i d_(i+3)."""
-    return d[0] * d[3] + d[1] * d[4] + d[2] * d[5]
-
-
-def frontal_sign(s: SpinSextuple, t: TriangleData, k: int = 1) -> int:
+def frontal_sign(s: SpinSextuple, k: int = 1) -> int:
     """The global sign (-1)^(4 k^2 sum j*J) of a rescaled supersymmetric symbol.
 
     Computed exactly from doubled spins: 4 sum j*J = sum (2j)(2J).  Even k
@@ -120,23 +115,6 @@ def _monomial4(parity: Parity, d, beta) -> tuple[int, int]:
     return 2 * _jj(d) + 2 * sum(d) + 2, -4
 
 
-def prefactor_standard(t: TriangleData) -> Fraction:
-    """Exact R = prod_{j,i} (p_j - v_i)! / prod_i (v_i + 1)! for integer data."""
-    num = 1
-    for pj in t.p:
-        for vi in t.v:
-            d = pj - vi
-            if not d.is_integer or d.twice < 0:
-                raise ShiftViolation(f"standard prefactor needs integer p-v >= 0, got {d}")
-            num *= factorial(int(d))
-    den = 1
-    for vi in t.v:
-        if not vi.is_integer:
-            raise ShiftViolation(f"standard prefactor needs integer v, got {vi}")
-        den *= factorial(int(vi) + 1)
-    return Fraction(num, den)
-
-
 def _super_prefactor_args(v, p) -> tuple[list[int], list[int]]:
     """Numerator and denominator factorial arguments of the parity prefactor.
 
@@ -149,34 +127,6 @@ def _super_prefactor_args(v, p) -> tuple[list[int], list[int]]:
         d = next(pj - vi for pj in p for vi in v if pj < vi)
         raise ShiftViolation(f"prefactor argument p - v = {HalfInt(d)} is negative")
     return [(pj - vi) // 2 for pj in p for vi in v], [(vi + 1) // 2 for vi in v]
-
-
-def prefactor_super(
-    parity: Parity,
-    s: SpinSextuple,
-    t: TriangleData,
-    bd: BetaDecomposition | None = None,
-) -> Fraction:
-    """Exact parity prefactor as a single rational number.
-
-    The integer-part brackets resolve per parity to: all (p_j - v_i)! over
-    v_i! (alpha); all (p_j - v_i - 1/2)! over (v_i + 1/2)! (gamma); and the
-    mixed twelve-factorial product over v! v'! (vbar + 1/2)! (vbar' + 1/2)!
-    (beta).
-    """
-    if parity is Parity.BETA and bd is None:
-        raise ValueError("beta prefactor needs a BetaDecomposition")
-    actual = classify_parity(t)
-    if actual is not parity:
-        raise ShiftViolation(f"prefactor for {parity.value} requested on {actual.value} data")
-    nums, dens = _super_prefactor_args(*t.doubled())
-    top = 1
-    bottom = 1
-    for n in nums:
-        top *= factorial(n)
-    for d in dens:
-        bottom *= factorial(d)
-    return Fraction(top, bottom)
 
 
 def _alternating_sum(w: list[int], m: list[int], c0: int, c1: int) -> tuple[int, int]:

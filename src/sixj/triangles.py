@@ -16,8 +16,9 @@ the count of integer v_i (4 -> alpha, 2 -> beta, 0 -> gamma).
 Every rule runs once, on plain doubled ints: ``SpinSextuple.doubled`` gives
 (2j1, 2j2, 2j3, 2J1, 2J2, 2J3), ``_sums`` the doubled v and p, and
 ``_check``, ``_parity`` and ``_beta_split`` the admissibility, parity and
-beta bookkeeping.  The exact evaluators call that core directly; the public
-``TriangleData`` / ``HalfInt`` helpers are thin adapters over it.
+beta bookkeeping, ``_jj`` the opposite-edge product sum 4 sum j*J.  The exact
+evaluators, the geometry and the asymptotics call that core directly; the
+public ``TriangleData`` / ``HalfInt`` helpers are thin adapters over it.
 """
 
 from __future__ import annotations
@@ -132,6 +133,11 @@ def _sums(d):
     a, b, c, A, B, C = d
     v = (a + b + c, A + b + C, A + B + c, a + B + C)
     return v, (b + B + c + C, c + C + a + A, a + A + b + B)
+
+
+def _jj(d) -> int:
+    """4 sum j*J = sum of the doubled opposite-edge products d_i d_(i+3)."""
+    return d[0] * d[3] + d[1] * d[4] + d[2] * d[5]
 
 
 def _integer_count(v) -> int:

@@ -19,7 +19,6 @@ from sixj import (
     beta_decompose,
     cayley_menger,
     classify_parity,
-    dihedral_phase,
     discriminant_check,
     envelope_slope,
     frontal_sign,
@@ -31,12 +30,12 @@ from sixj import (
     saddle_coeff_b,
     saddle_coeff_c,
     scan,
-    shift_pair,
     sixj_exact,
     sixj_super_exact,
     tet_from_spins,
     triangle_sums,
 )
+from sixj.asymptotics import dihedral_phase, shift_pair
 from oracles import racah_sixj, random_admissible, super_sixj_alpha_direct, super_sixj_direct
 
 HALF = Fraction(1, 2)
@@ -195,8 +194,8 @@ def test_criterion_6_beta_convergence():
     bd = beta_decompose(BETA_EUCLIDEAN, triangle_sums(BETA_EUCLIDEAN))
     offset_ok = True
     for k in range(21, 302, 2):
-        diff = dihedral_phase("beta", BETA_EUCLIDEAN, k, geo, bd.jstar_slot) - dihedral_phase(
-            "standard", BETA_EUCLIDEAN, k, geo
+        diff = dihedral_phase(Parity.BETA, BETA_EUCLIDEAN, k, geo) - dihedral_phase(
+            None, BETA_EUCLIDEAN, k, geo
         )
         if abs(diff - 0.5 * geo.theta_ext[bd.jstar_slot]) > 1e-12:
             offset_ok = False
@@ -252,7 +251,7 @@ def test_criterion_8_phase_suite():
             bd = beta_decompose(s, t) if parity == "beta" else None
             closed = frontal_sign_closed_form(classify_parity(t), t, bd)
             for k in (1, 3, 5):
-                assert frontal_sign(s, t, k) == closed, (s, k)
+                assert frontal_sign(s, k) == closed, (s, k)
     report(8, True, "frontal sign == parity closed forms for odd k on 3x1000 sextuples")
 
 
@@ -281,7 +280,7 @@ def test_criterion_10_shift_identity():
             t = triangle_sums(s)
             bd = beta_decompose(s, t) if parity == "beta" else None
             geo = tet_from_spins(s)
-            sp = shift_pair(classify_parity(t), s, t, bd, geo=geo)
+            sp = shift_pair(classify_parity(t), s, geo)
             if parity == "beta":
                 w = bd.pbar.as_fraction() * bd.pbar_prime.as_fraction() - bd.v.as_fraction() * bd.v_prime.as_fraction()
                 u = bd.v.as_fraction() + bd.v_prime.as_fraction() - bd.pbar.as_fraction() - bd.pbar_prime.as_fraction()

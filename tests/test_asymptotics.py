@@ -15,15 +15,13 @@ from sixj import (
     asym_gamma,
     asym_standard,
     beta_decompose,
-    dihedral_phase,
     saddle_coeff_a,
     saddle_coeff_b,
     saddle_coeff_c,
-    shift_from_components,
-    shift_pair,
     tet_from_spins,
     triangle_sums,
 )
+from sixj.asymptotics import dihedral_phase, shift_from_components, shift_pair
 from oracles import random_admissible
 
 HALF = Fraction(1, 2)
@@ -91,14 +89,14 @@ class TestDihedralPhase:
     def test_regular_standard(self):
         geo = tet_from_spins(ALL_ONES)
         for k in (1, 5, 20):
-            assert dihedral_phase("standard", ALL_ONES, k, geo) == pytest.approx(
+            assert dihedral_phase(None, ALL_ONES, k, geo) == pytest.approx(
                 (6 * k + 3) * REGULAR_EXT, rel=1e-12
             )
 
     def test_gamma_no_half_offsets(self):
         geo = tet_from_spins(ALL_HALVES)
         for k in (1, 7, 33):
-            assert dihedral_phase("gamma", ALL_HALVES, k, geo) == pytest.approx(
+            assert dihedral_phase(Parity.GAMMA, ALL_HALVES, k, geo) == pytest.approx(
                 3 * k * REGULAR_EXT, rel=1e-12
             )
 
@@ -108,11 +106,11 @@ class TestDihedralPhase:
         spins = [float(x) for x in ALL_HALVES.spins]
         step = 2.0 * sum(j * t for j, t in zip(spins, geo.theta_ext))
         for k in (1, 11, 101):
-            d_std = dihedral_phase("standard", ALL_HALVES, k + 2, geo) - dihedral_phase(
-                "standard", ALL_HALVES, k, geo
+            d_std = dihedral_phase(None, ALL_HALVES, k + 2, geo) - dihedral_phase(
+                None, ALL_HALVES, k, geo
             )
-            d_gam = dihedral_phase("gamma", ALL_HALVES, k + 2, geo) - dihedral_phase(
-                "gamma", ALL_HALVES, k, geo
+            d_gam = dihedral_phase(Parity.GAMMA, ALL_HALVES, k + 2, geo) - dihedral_phase(
+                Parity.GAMMA, ALL_HALVES, k, geo
             )
             assert d_std == pytest.approx(step, rel=1e-9)
             assert d_gam == pytest.approx(step, rel=1e-9)
@@ -123,7 +121,7 @@ class TestDihedralPhase:
             geo = tet_from_spins(s)
             half_sum = 0.5 * sum(geo.theta_ext)
             for k in (1, 9, 101):
-                diff = dihedral_phase("standard", s, k, geo) - dihedral_phase("gamma", s, k, geo)
+                diff = dihedral_phase(None, s, k, geo) - dihedral_phase(Parity.GAMMA, s, k, geo)
                 assert diff == pytest.approx(half_sum, rel=1e-9)
 
     def test_beta_offset_is_half_jstar_angle(self):
@@ -132,9 +130,7 @@ class TestDihedralPhase:
             geo = tet_from_spins(s)
             bd = beta_decompose(s, triangle_sums(s))
             for k in (1, 11, 101):
-                diff = dihedral_phase("beta", s, k, geo, bd.jstar_slot) - dihedral_phase(
-                    "standard", s, k, geo
-                )
+                diff = dihedral_phase(Parity.BETA, s, k, geo) - dihedral_phase(None, s, k, geo)
                 assert abs(diff - 0.5 * geo.theta_ext[bd.jstar_slot]) <= 1e-12
 
 
@@ -184,7 +180,7 @@ class TestAsymAlpha:
             v24 = 24.0 * geo.volume
             for k in (1, 5, 12):
                 res = asym_alpha(s, k, geo)
-                x = 0.25 * math.pi + dihedral_phase("alpha", s, k, geo)
+                x = 0.25 * math.pi + dihedral_phase(Parity.ALPHA, s, k, geo)
                 direct = (b * math.cos(x) + v24 * math.sin(x)) / (
                     math.sqrt(48.0 * math.pi * k * geo.volume)
                     * math.sqrt(float(saddle_coeff_c(t)))
@@ -215,7 +211,7 @@ class TestAsymGamma:
         geo = tet_from_spins(ALL_HALVES)
         res = asym_gamma(ALL_HALVES, 21, geo)
         # sum p = 6, so the sign is negative: angle carries a pi offset
-        base = 0.25 * math.pi + dihedral_phase("gamma", ALL_HALVES, 21, geo) + shift_pair(
+        base = 0.25 * math.pi + dihedral_phase(Parity.GAMMA, ALL_HALVES, 21, geo) + shift_pair(
             Parity.ALPHA, ALL_HALVES, geo=geo
         ).phase
         assert res.angle == pytest.approx(base + math.pi, rel=1e-12)
@@ -254,12 +250,8 @@ class TestAsymBeta:
         assert int(bd.v + bd.v_prime - bd.p) % 2 == 1  # 4 + 4 - 5
         geo = tet_from_spins(BETA_EUCLIDEAN)
         res = asym_beta(BETA_EUCLIDEAN, 21, geo)
-        sp = shift_pair(Parity.BETA, BETA_EUCLIDEAN, t, bd, geo=geo)
-        base = (
-            0.25 * math.pi
-            + dihedral_phase("beta", BETA_EUCLIDEAN, 21, geo, bd.jstar_slot)
-            - sp.phase
-        )
+        sp = shift_pair(Parity.BETA, BETA_EUCLIDEAN, geo)
+        base = 0.25 * math.pi + dihedral_phase(Parity.BETA, BETA_EUCLIDEAN, 21, geo) - sp.phase
         assert res.angle == pytest.approx(base + math.pi, rel=1e-12)
 
     def test_pre_shift_two_term_form(self):
@@ -270,7 +262,7 @@ class TestAsymBeta:
         u = bd.v.as_fraction() + bd.v_prime.as_fraction() - bd.pbar.as_fraction() - bd.pbar_prime.as_fraction()
         a = 2.0 * float(saddle_coeff_c(t)) * float(u) + float(saddle_coeff_b(BETA_EUCLIDEAN)) * float(w)
         b = 24.0 * geo.volume * float(w)
-        sp = shift_pair(Parity.BETA, BETA_EUCLIDEAN, t, bd, geo=geo)
+        sp = shift_pair(Parity.BETA, BETA_EUCLIDEAN, geo)
         for x in (0.3, 1.7, 4.1):
             assert a * math.cos(x) + b * math.sin(x) == pytest.approx(
                 sp.magnitude * math.cos(x - sp.phase), rel=1e-11

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from sixj import (
     EmptySumWarning,
     ExactSymbol,
     HalfInt,
+    IntegralityViolation,
     Parity,
     ShiftViolation,
     SpinSextuple,
@@ -21,14 +23,12 @@ from sixj import (
     is_admissible,
     monomial,
     monomial_coefficients,
-    prefactor_standard,
-    prefactor_super,
     sixj_exact,
     sixj_super_exact,
     triangle_sums,
 )
 from sixj import symbols
-from sixj.symbols import _alternating_sum
+from sixj.symbols import _alternating_sum, _prefactor_symbol, _super_prefactor_args
 from oracles import (
     racah_sixj,
     random_admissible,
@@ -105,21 +105,19 @@ class TestFrontalSign:
     def test_alpha_always_plus(self):
         rng = random.Random(44)
         for s in random_admissible(rng, parity="alpha", n=100):
-            t = triangle_sums(s)
             for k in (1, 2, 3):
-                assert frontal_sign(s, t, k) == 1
+                assert frontal_sign(s, k) == 1
 
     def test_all_halves_minus(self):
         s = SpinSextuple.of(*([HALF] * 6))
         t = triangle_sums(s)
-        assert frontal_sign(s, t, 1) == -1
+        assert frontal_sign(s, 1) == -1
         assert frontal_sign_closed_form(Parity.GAMMA, t) == -1
 
     def test_even_k_plus(self):
         rng = random.Random(45)
         for s in random_admissible(rng, n=100):
-            t = triangle_sums(s)
-            assert frontal_sign(s, t, 2) == 1
+            assert frontal_sign(s, 2) == 1
 
     @pytest.mark.parametrize("parity", ["alpha", "beta", "gamma"])
     def test_matches_closed_form_for_odd_k(self, parity):
@@ -129,7 +127,23 @@ class TestFrontalSign:
             bd = beta_decompose(s, t) if parity == "beta" else None
             closed = frontal_sign_closed_form(classify_parity(t), t, bd)
             for k in (1, 3, 5):
-                assert frontal_sign(s, t, k) == closed
+                assert frontal_sign(s, k) == closed
+
+    def test_matches_closed_form_on_spin3_grid(self):
+        # the asymptotic router takes its global sign from frontal_sign; the
+        # per-parity closed forms must agree on every odd k
+        count = 0
+        for d in itertools.product(range(7), repeat=6):
+            s = SpinSextuple(*map(HalfInt, d))
+            if not is_admissible(s, "osp12"):
+                continue
+            t = triangle_sums(s)
+            parity = classify_parity(t)
+            bd = beta_decompose(s, t) if parity is Parity.BETA else None
+            closed = frontal_sign_closed_form(parity, t, bd)
+            assert frontal_sign(s, 1) == frontal_sign(s, 3) == closed, d
+            count += 1
+        assert count == 17245
 
 
 class TestMonomial:
@@ -169,23 +183,26 @@ class TestMonomial:
 
 class TestPrefactors:
     def test_standard_all_ones(self):
-        t = triangle_sums(SpinSextuple.of(1, 1, 1, 1, 1, 1))
-        assert prefactor_standard(t) == Fraction(1, 331776)
+        # sixj_exact's arguments: (p_j - v_i)! over (v_i + 1)!
+        v, p = triangle_sums(SpinSextuple.of(1, 1, 1, 1, 1, 1)).doubled()
+        nums = [(pj - vi) // 2 for pj in p for vi in v]
+        dens = [vi // 2 + 1 for vi in v]
+        assert _prefactor_symbol(nums, dens, Fraction(1)).squared() == Fraction(1, 331776)
 
     def test_alpha_all_ones(self):
-        s = SpinSextuple.of(1, 1, 1, 1, 1, 1)
-        t = triangle_sums(s)
-        assert prefactor_super(Parity.ALPHA, s, t) == Fraction(1, 1296)
+        t = triangle_sums(SpinSextuple.of(1, 1, 1, 1, 1, 1))
+        assert classify_parity(t) is Parity.ALPHA
+        args = _super_prefactor_args(*t.doubled())
+        assert _prefactor_symbol(*args, Fraction(1)).squared() == Fraction(1, 1296)
 
     def test_gamma_all_halves(self):
-        s = SpinSextuple.of(*([HALF] * 6))
-        t = triangle_sums(s)
-        assert prefactor_super(Parity.GAMMA, s, t) == Fraction(1, 16)
+        t = triangle_sums(SpinSextuple.of(*([HALF] * 6)))
+        assert classify_parity(t) is Parity.GAMMA
+        args = _super_prefactor_args(*t.doubled())
+        assert _prefactor_symbol(*args, Fraction(1)).squared() == Fraction(1, 16)
 
     def test_beta_matches_explicit_product(self):
         # generic integer-part prefactor equals the twelve-factorial split form
-        import math
-
         rng = random.Random(50)
         for s in random_admissible(rng, parity="beta", n=100):
             t = triangle_sums(s)
@@ -200,17 +217,23 @@ class TestPrefactors:
                 * f(pbp - vb) * f(pbp - vbp) * f(pbp - v - HALF) * f(pbp - vp - HALF),
                 f(v) * f(vp) * f(vb + HALF) * f(vbp + HALF),
             )
-            assert prefactor_super(Parity.BETA, s, t, bd) == explicit
+            nums, dens = _super_prefactor_args(*t.doubled())
+            product = Fraction(
+                math.prod(map(math.factorial, nums)), math.prod(map(math.factorial, dens))
+            )
+            assert product == explicit
+            assert _prefactor_symbol(nums, dens, Fraction(1)).squared() == explicit
 
     def test_shift_violation_on_wrong_data(self):
         s = SpinSextuple.of(2, HALF, HALF, HALF, HALF, 2)
         with pytest.raises(ShiftViolation):
-            prefactor_super(Parity.ALPHA, s, triangle_sums(s))
+            _super_prefactor_args(*triangle_sums(s).doubled())
 
     def test_standard_rejects_half_integer_triangles(self):
+        # the SU(2) pipeline rejects half-integer triangle sums before any prefactor
         s = SpinSextuple.of(*([HALF] * 6))
-        with pytest.raises(ShiftViolation):
-            prefactor_standard(triangle_sums(s))
+        with pytest.raises(IntegralityViolation):
+            sixj_exact(s)
 
 
 def _term_by_term(w, m, c0, c1) -> Fraction:
