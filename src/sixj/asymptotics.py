@@ -139,7 +139,7 @@ def _route(s: SpinSextuple, k: int, geo: TetGeometry | None, d, v, p, parity: Pa
     split = _beta_split(d, v, p) if parity is Parity.BETA else None
     factors = _beta_factors(v, p, split) if split else None
     sp = _shift(parity, d, v, split, 24.0 * geo.volume)
-    root = math.sqrt(48.0 * math.pi * k * geo.volume)
+    root = math.sqrt(48.0 * math.pi * _float(k) * geo.volume)
     if factors is None:
         amplitude = sp.magnitude / (root * math.sqrt(math.prod(v) / 16))
     else:
@@ -150,6 +150,14 @@ def _route(s: SpinSextuple, k: int, geo: TetGeometry | None, d, v, p, parity: Pa
     if k * _jj(d) % 2:
         angle += math.pi
     return AsymptoticResult(amplitude, angle, amplitude * math.cos(angle), parity.value)
+
+
+def _float(n: int) -> float:
+    """float(n), rounded as float * n rounds it; ValueError past the float range."""
+    try:
+        return float(n)
+    except OverflowError:
+        raise ValueError("k is too large for the floating-point asymptotic formula") from None
 
 
 def _prepared(s: SpinSextuple, k: int):
@@ -174,7 +182,7 @@ def asym_standard(s: SpinSextuple, k: int, geo: TetGeometry | None = None) -> As
     d, v, p = _prepared(s, k)
     _check_scaled(v, p, k, "su2")
     geo = geo or tet_from_spins(s)
-    amplitude = 1.0 / math.sqrt(12.0 * math.pi * k**3 * geo.volume)
+    amplitude = 1.0 / math.sqrt(12.0 * math.pi * _float(k**3) * geo.volume)
     angle = 0.25 * math.pi + _phase(d, k, geo.theta_ext)
     return AsymptoticResult(amplitude, angle, amplitude * math.cos(angle), STANDARD)
 

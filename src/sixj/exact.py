@@ -6,10 +6,15 @@ radicand carries no square factor: equality is then plain componentwise
 comparison.  ``ScaledFloat`` is a sign/mantissa/exponent triple that survives
 conversions whose intermediate numerators and denominators overflow any
 native float by thousands of orders of magnitude.
+
+``ExactSymbol.from_prime_exponents`` reduces the evaluators' int ratio once.
+``primes_up_to`` serves every call from one module-level sieve that grows on
+demand and never covers more than twice the largest n requested.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,16 +46,26 @@ def prime_exponent_in_factorial(n: int, p: int) -> int:
     return e
 
 
+# (limit, the primes below limit), replaced as one tuple so that no reader
+# pairs a limit with other primes.  A request for n >= limit re-sieves to
+# max(n + 1, 2 * limit) <= 2n, so limit stays within twice the largest n.
+_sieve: tuple[int, list[int]] = (2, [])
+
+
 def primes_up_to(n: int) -> list[int]:
-    """Primes <= n by a plain sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i, ok in enumerate(sieve) if ok]
+    """Primes <= n, in increasing order, as a new list."""
+    global _sieve
+    limit, primes = _sieve
+    if n >= limit:
+        limit = max(n + 1, 2 * limit)
+        sieve = bytearray([1]) * limit
+        sieve[0] = sieve[1] = 0
+        for i in range(2, math.isqrt(limit - 1) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+        primes = [i for i, ok in enumerate(sieve) if ok]
+        _sieve = (limit, primes)
+    return primes[:bisect.bisect_right(primes, n)]
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
@@ -116,13 +131,15 @@ class ExactSymbol:
         return cls(Fraction(coeff), Fraction(radicand))
 
     @classmethod
-    def from_prime_exponents(cls, coeff, exponents: dict[int, int]) -> "ExactSymbol":
+    def from_prime_exponents(cls, coeff, exponents: dict[int, int], den: int | None = None) -> "ExactSymbol":
         """Build coeff * sqrt(prod p**e) from a prime-exponent map.
 
         The square part prod p**(e//2) moves into the coefficient without ever
         multiplying out the radicand.  Each odd-exponent prime enters the
         radicand once, so it is square-free with coprime parts already: the
         value is built canonical, without __post_init__'s trial division.
+        With an int ``den``, coeff/den is an int ratio, reduced once together
+        with the square part; without it, coeff is any rational.
         """
         mult_num = mult_den = 1
         rad_num = rad_den = 1
@@ -135,12 +152,14 @@ class ExactSymbol:
                 mult_den *= p ** (-e >> 1)
                 if e & 1:
                     rad_den *= p
-        q = Fraction(coeff)
-        coeff = Fraction(q.numerator * mult_num, q.denominator * mult_den)
-        if coeff == 0:
+        if den is None:
+            q = Fraction(coeff)
+            coeff, den = q.numerator, q.denominator
+        q = Fraction(coeff * mult_num, den * mult_den)
+        if not q:
             return cls.zero()
         value = object.__new__(cls)
-        object.__setattr__(value, "coeff", coeff)
+        object.__setattr__(value, "coeff", q)
         object.__setattr__(value, "radicand", Fraction(rad_num, rad_den))
         return value
 

@@ -19,10 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonEuclideanError
+from .halfint import _half_text
 from .triangles import SpinSextuple, TriangleData, _jj, _sums
 
 # CM determinants below DEGENERACY_RTOL * (max edge)^6 count as flat
 DEGENERACY_RTOL = Fraction(1, 10**12)
+# the slots of (j1, j2, j3), (J1, j2, J3), (J1, J2, j3), (j1, J2, J3) in the doubled spins
+_FACES = ((0, 1, 2), (3, 1, 5), (3, 4, 2), (0, 4, 5))
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,7 +75,7 @@ def cayley_menger(s: SpinSextuple) -> Fraction:
     CD = J3, so face ABC is the (j1, j2, j3) triangle and each edge pair
     (j_i, J_i) is opposite.
     """
-    j1, j2, j3, J1, J2, J3 = (x.as_fraction() for x in s.spins)
+    j1, j2, j3, J1, J2, J3 = (Fraction(x, 2) for x in s.doubled())
     ab, ac, ad = j3 * j3, j2 * j2, J1 * J1
     bc, bd = j1 * j1, J2 * J2
     cd = J3 * J3
@@ -110,7 +113,7 @@ def _norm(a):
 
 def _embed(s: SpinSextuple) -> tuple[tuple[float, float, float], ...]:
     """Coordinates (A, B, C, D) realising the six lengths; assumes CM > 0."""
-    j1, j2, j3, J1, J2, J3 = (float(x) for x in s.spins)
+    j1, j2, j3, J1, J2, J3 = (x / 2.0 for x in s.doubled())
     a = (0.0, 0.0, 0.0)
     b = (j3, 0.0, 0.0)
     cx = (j2 * j2 + j3 * j3 - j1 * j1) / (2.0 * j3)
@@ -145,17 +148,17 @@ def tet_from_spins(s: SpinSextuple) -> TetGeometry:
     determinant alone does not make the six lengths a tetrahedron.
     """
     cm = cayley_menger(s)
-    scale = max(x.as_fraction() for x in s.spins)
-    if cm <= DEGENERACY_RTOL * scale**6:
+    twice = s.doubled()
+    if cm <= DEGENERACY_RTOL * Fraction(max(twice), 2) ** 6:
         raise NonEuclideanError(
             f"no Euclidean tetrahedron for {s}: Cayley-Menger determinant {float(cm):.6g}"
         )
-    for face in ((s.j1, s.j2, s.j3), (s.J1, s.j2, s.J3), (s.J1, s.J2, s.j3), (s.j1, s.J2, s.J3)):
-        a, b, c = sorted(x.twice for x in face)
+    for face in _FACES:
+        a, b, c = sorted(twice[i] for i in face)
         if a + b < c:
             raise NonEuclideanError(
-                f"no Euclidean tetrahedron for {s}: face ({', '.join(map(str, face))}) "
-                "breaks the triangle inequality"
+                f"no Euclidean tetrahedron for {s}: face "
+                f"({', '.join(_half_text(twice[i]) for i in face)}) breaks the triangle inequality"
             )
     volume = math.sqrt(float(cm / 288))
     a, b, c, d = _embed(s)
@@ -168,7 +171,7 @@ def tet_from_spins(s: SpinSextuple) -> TetGeometry:
         _dihedral(c, d, a, b),  # edge J3 = CD
     )
     theta_ext = tuple(math.pi - th for th in theta_int)
-    lengths = tuple(float(x) for x in s.spins)
+    lengths = tuple(x / 2.0 for x in twice)
     return TetGeometry(lengths, volume, theta_ext, cm)
 
 

@@ -26,17 +26,7 @@ class HalfInt:
     @classmethod
     def of(cls, value) -> "HalfInt":
         """Build from an int, Fraction or HalfInt that is an exact multiple of 1/2."""
-        if isinstance(value, HalfInt):
-            return value
-        if isinstance(value, int):
-            return cls(2 * value)
-        if isinstance(value, Fraction):
-            if value.denominator == 1:
-                return cls(2 * value.numerator)
-            if value.denominator == 2:
-                return cls(value.numerator)
-            raise ValueError(f"{value} is not a half-integer")
-        raise TypeError(f"cannot build HalfInt from {type(value).__name__}")
+        return value if isinstance(value, HalfInt) else cls(_twice_of(value))
 
     @classmethod
     def parse(cls, text: str) -> "HalfInt":
@@ -44,25 +34,7 @@ class HalfInt:
 
         Decimal forms are accepted only with fractional part .0 or .5.
         """
-        s = text.strip()
-        if not s:
-            raise ValueError("empty half-integer literal")
-        if "/" in s:
-            num, _, den = s.partition("/")
-            if den.strip() != "2":
-                raise ValueError(f"half-integer denominator must be 2: {text!r}")
-            return cls(int(num))
-        if "." in s:
-            whole, _, frac = s.partition(".")
-            frac = frac.rstrip("0")
-            if frac == "5":
-                base = int(whole) if whole not in ("", "-", "+") else 0
-                sign = -1 if s.startswith("-") else 1
-                return cls(2 * base + sign)
-            if frac == "":
-                return cls(2 * int(whole))
-            raise ValueError(f"not a half-integer: {text!r}")
-        return cls(2 * int(s))
+        return cls(_parse_twice(text))
 
     # -- predicates and conversions ---------------------------------------
 
@@ -86,9 +58,7 @@ class HalfInt:
         return self.twice // 2
 
     def __str__(self) -> str:
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
+        return _half_text(self.twice)
 
     def __repr__(self) -> str:
         return f"HalfInt({self.twice})"
@@ -115,11 +85,50 @@ class HalfInt:
         return self.twice != 0
 
 
-ZERO = HalfInt(0)
-HALF = HalfInt(1)
-ONE = HalfInt(2)
-
-
 def parse_halfint(text: str) -> HalfInt:
     """Module-level alias for :meth:`HalfInt.parse`."""
     return HalfInt.parse(text)
+
+
+def _twice_of(value) -> int:
+    """``HalfInt.of(value).twice``, without the HalfInt; SpinSextuple reads spins by it."""
+    if isinstance(value, int):
+        return 2 * value
+    if isinstance(value, Fraction):
+        den = value.denominator
+        if den == 1:
+            return 2 * value.numerator
+        if den == 2:
+            return value.numerator
+        raise ValueError(f"{value} is not a half-integer")
+    if isinstance(value, HalfInt):
+        return value.twice
+    raise TypeError(f"cannot build HalfInt from {type(value).__name__}")
+
+
+def _parse_twice(text: str) -> int:
+    """``HalfInt.parse(text).twice``, without the HalfInt."""
+    s = text.strip()
+    if not s:
+        raise ValueError("empty half-integer literal")
+    if "/" in s:
+        num, _, den = s.partition("/")
+        if den.strip() != "2":
+            raise ValueError(f"half-integer denominator must be 2: {text!r}")
+        return int(num)
+    if "." in s:
+        whole, _, frac = s.partition(".")
+        frac = frac.rstrip("0")
+        if frac == "5":
+            base = int(whole) if whole not in ("", "-", "+") else 0
+            sign = -1 if s.startswith("-") else 1
+            return 2 * base + sign
+        if frac == "":
+            return 2 * int(whole)
+        raise ValueError(f"not a half-integer: {text!r}")
+    return 2 * int(s)
+
+
+def _half_text(twice: int) -> str:
+    """The text of the half-integer twice/2: "3" for 6, "3/2" for 3."""
+    return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"

@@ -19,7 +19,7 @@ from .errors import InsufficientExtremaError, SixjError
 from .exact import ScaledFloat
 from .geometry import tet_from_spins
 from .symbols import sixj_exact, sixj_super_exact
-from .triangles import SpinSextuple, check_admissible, triangle_sums
+from .triangles import SpinSextuple, _check, _sums
 
 CSV_COLUMNS = (
     "k",
@@ -88,7 +88,7 @@ def scan(s: SpinSextuple, kind: str, k_list: list[int]) -> list[ScanRecord]:
         return []
     # as eval would at the first k: admissibility before any geometry error
     try:
-        check_admissible(triangle_sums(s.scaled(ks[0])), "su2" if kind == "su2" else "osp12")
+        _check(*_sums(s.scaled(ks[0]).doubled()), "su2" if kind == "su2" else "osp12")
     except SixjError as exc:
         raise type(exc)(f"k={ks[0]}: {exc}") from exc
     geo = tet_from_spins(s)

@@ -25,11 +25,12 @@ public helpers below are adapters over the same functions.
 
 from __future__ import annotations
 
+import math
 import warnings
 from fractions import Fraction
 
 from .errors import EmptySumWarning, ShiftViolation
-from .exact import ExactSymbol, factorial, primes_up_to
+from .exact import ExactSymbol, primes_up_to
 from .halfint import HalfInt
 from .triangles import (
     BetaDecomposition,
@@ -149,16 +150,18 @@ def _alternating_sum(w: list[int], m: list[int], c0: int, c1: int) -> tuple[int,
         b = (u - w0) * (u - w1) * (u - w2) * (u - w3)
         num = (c0 + c1 * t) * b * den - u * (m0 - t) * (m1 - t) * (m2 - t) * num
         den *= b
-    num *= factorial(lo)
+    num *= math.factorial(lo)
     for x in w:
-        den *= factorial(lo - x)
+        den *= math.factorial(lo - x)
     for x in m:
-        den *= factorial(x - lo)
+        den *= math.factorial(x - lo)
     return (-num if lo % 2 else num), den
 
 
-def _prefactor_symbol(nums: list[int], dens: list[int], coeff: Fraction) -> ExactSymbol:
+def _prefactor_symbol(nums: list[int], dens: list[int], coeff, den: int | None = None) -> ExactSymbol:
     """coeff * sqrt(prod nums! / prod dens!) built from prime-exponent vectors.
+
+    With an int ``den``, coeff/den is the kernel's unreduced int ratio.
 
     The radicand is never multiplied out, so square extraction stays cheap
     however large the factorial arguments grow under spin rescaling.  The
@@ -178,7 +181,7 @@ def _prefactor_symbol(nums: list[int], dens: list[int], coeff: Fraction) -> Exac
                 e -= n
         if e:
             exps[p] = e
-    return ExactSymbol.from_prime_exponents(coeff, exps)
+    return ExactSymbol.from_prime_exponents(coeff, exps, den)
 
 
 def sixj_exact(s: SpinSextuple) -> ExactSymbol:
@@ -192,7 +195,7 @@ def sixj_exact(s: SpinSextuple) -> ExactSymbol:
         return ExactSymbol.zero()
     nums = [mj - wi for mj in m for wi in w]
     dens = [wi + 1 for wi in w]
-    return _prefactor_symbol(nums, dens, Fraction(num, den))
+    return _prefactor_symbol(nums, dens, num, den)
 
 
 def sixj_super_exact(s: SpinSextuple) -> ExactSymbol:
@@ -219,4 +222,4 @@ def sixj_super_exact(s: SpinSextuple) -> ExactSymbol:
         return ExactSymbol.zero()
     if _jj(d) % 2:
         num = -num
-    return _prefactor_symbol(*_super_prefactor_args(v, p), Fraction(num, 4 * den))
+    return _prefactor_symbol(*_super_prefactor_args(v, p), num, 4 * den)

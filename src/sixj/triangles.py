@@ -13,22 +13,24 @@ drive everything downstream: admissibility is the non-negativity of all
 twelve differences p_j - v_i, and the parity of a supersymmetric symbol is
 the count of integer v_i (4 -> alpha, 2 -> beta, 0 -> gamma).
 
-Every rule runs once, on plain doubled ints: ``SpinSextuple.doubled`` gives
-(2j1, 2j2, 2j3, 2J1, 2J2, 2J3), ``_sums`` the doubled v and p, and
+A ``SpinSextuple`` stores the doubled spins (2j1, 2j2, 2j3, 2J1, 2J2, 2J3)
+once: ``of`` and ``parse`` validate straight into that tuple, ``scaled``
+multiplies it, and the ``HalfInt`` fields j1 ... J3 and ``spins`` are views.
+Every rule runs on those plain ints: ``_sums`` gives the doubled v and p,
 ``_check``, ``_parity`` and ``_beta_split`` the admissibility, parity and
 beta bookkeeping, ``_jj`` the opposite-edge product sum 4 sum j*J.  The exact
-evaluators, the geometry and the asymptotics call that core directly; the
-public ``TriangleData`` / ``HalfInt`` helpers are thin adapters over it.
+evaluators, the geometry and the asymptotics call that core directly and
+build no HalfInt; ``TriangleData`` and the HalfInt helpers are adapters.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Literal
 
 from .errors import IntegralityViolation, ParityViolation, TriangleViolation
-from .halfint import HalfInt
+from .halfint import HalfInt, _half_text, _parse_twice, _twice_of
 
 Algebra = Literal["su2", "osp12"]
 _FIELD_NAMES = ("j1", "j2", "j3", "J1", "J2", "J3")
@@ -43,59 +45,95 @@ class Parity(str, enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
+def _view(i: int) -> property:
+    """The HalfInt view of doubled spin i, for the j1 ... J3 fields."""
+    return property(lambda self: HalfInt(self._d[i]))
+
+
 class SpinSextuple:
-    """The six spins (j1, j2, j3, J1, J2, J3), each a non-negative half-integer."""
+    """The six spins (j1, j2, j3, J1, J2, J3), each a non-negative half-integer.
 
-    j1: HalfInt
-    j2: HalfInt
-    j3: HalfInt
-    J1: HalfInt
-    J2: HalfInt
-    J3: HalfInt
+    Stored once as the doubled ints; the ``HalfInt`` fields are views.  Frozen,
+    compared and hashed by value, like a frozen dataclass.
+    """
 
-    def __post_init__(self):
-        if min(self.doubled()) < 0:
-            for name, s in zip(self.field_names(), self.spins):
-                if s.twice < 0:
-                    raise ValueError(f"spin {name} must be non-negative, got {s}")
+    __slots__ = ("_d",)
+
+    def __init__(self, j1: HalfInt, j2: HalfInt, j3: HalfInt,
+                 J1: HalfInt, J2: HalfInt, J3: HalfInt):
+        _store(self, (j1.twice, j2.twice, j3.twice, J1.twice, J2.twice, J3.twice))
+
+    @classmethod
+    def _of_doubled(cls, d: tuple[int, ...]) -> "SpinSextuple":
+        self = object.__new__(cls)
+        _store(self, d)
+        return self
 
     @staticmethod
     def field_names() -> tuple[str, ...]:
         return _FIELD_NAMES
 
+    j1, j2, j3, J1, J2, J3 = map(_view, range(6))
+
     @property
     def spins(self) -> tuple[HalfInt, ...]:
-        return (self.j1, self.j2, self.j3, self.J1, self.J2, self.J3)
+        return tuple(map(HalfInt, self._d))
 
     def doubled(self) -> tuple[int, int, int, int, int, int]:
         """The doubled spins (2j1, 2j2, 2j3, 2J1, 2J2, 2J3)."""
-        return (self.j1.twice, self.j2.twice, self.j3.twice,
-                self.J1.twice, self.J2.twice, self.J3.twice)
+        return self._d
 
     @classmethod
     def of(cls, *values) -> "SpinSextuple":
         if len(values) != 6:
             raise ValueError("a sextuple needs exactly six spins")
-        return cls(*map(HalfInt.of, values))
+        return cls._of_doubled(tuple(map(_twice_of, values)))
 
     @classmethod
     def parse(cls, texts) -> "SpinSextuple":
         vals = list(texts)
         if len(vals) != 6:
             raise ValueError("a sextuple needs exactly six spins")
-        return cls(*(HalfInt.parse(t) for t in vals))
+        return cls._of_doubled(tuple(map(_parse_twice, vals)))
 
     def scaled(self, k: int) -> "SpinSextuple":
         """The sextuple with every spin multiplied by a positive integer k."""
         if k < 1:
             raise ValueError(f"scale factor must be a positive integer, got {k}")
-        return SpinSextuple(*(s * k for s in self.spins))
+        if not isinstance(k, int):
+            raise TypeError(f"scale factor must be an int, got {type(k).__name__}")
+        return self._of_doubled(tuple(x * k for x in self._d))
+
+    def __eq__(self, other):
+        return self._d == other._d if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._d)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self.spins
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}=HalfInt({x})" for n, x in zip(_FIELD_NAMES, self._d))
+        return f"SpinSextuple({fields})"
 
     def __str__(self) -> str:
-        j = " ".join(str(s) for s in self.spins[:3])
-        J = " ".join(str(s) for s in self.spins[3:])
-        return f"{{{j}; {J}}}"
+        j = list(map(_half_text, self._d))
+        return f"{{{' '.join(j[:3])}; {' '.join(j[3:])}}}"
+
+
+def _store(s: SpinSextuple, d: tuple[int, ...]) -> None:
+    """Set the doubled spins d of a new sextuple; ValueError names a negative one."""
+    if min(d) < 0:
+        name, twice = next((n, x) for n, x in zip(_FIELD_NAMES, d) if x < 0)
+        raise ValueError(f"spin {name} must be non-negative, got {_half_text(twice)}")
+    object.__setattr__(s, "_d", d)
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,10 +157,6 @@ class TriangleData:
 
     def integer_v_count(self) -> int:
         return _integer_count(self.doubled()[0])
-
-    def doubled_spins(self) -> tuple[int, ...]:
-        """The six doubled spins recovered from (v, p), in sextuple order."""
-        return _recovered(*self.doubled())
 
 
 _PARITY_BY_COUNT = {4: Parity.ALPHA, 2: Parity.BETA, 0: Parity.GAMMA}
@@ -162,7 +196,10 @@ def _parity(n_int: int) -> Parity:
 
 
 def _check(v, p, algebra: Algebra) -> Parity:
-    """check_admissible on doubled (v, p); returns the parity on success."""
+    """check_admissible on the doubled sums (v, p) of spins; returns the parity.
+
+    Sums of spins always recover them, so the recovered-spin check is left out.
+    """
     if min(p) < max(v):
         pj, vi = next((pj, vi) for pj in p for vi in v if pj < vi)
         raise TriangleViolation(
@@ -176,13 +213,7 @@ def _check(v, p, algebra: Algebra) -> Parity:
             )
     elif algebra != "osp12":
         raise ValueError(f"unknown algebra {algebra!r}")
-    parity = _parity(n_int)
-    for twice, name in zip(_recovered(v, p), _FIELD_NAMES):
-        if twice % 2:
-            raise IntegralityViolation(f"recovered 2*{name} = {twice}/2 is not an integer")
-        if twice < 0:
-            raise IntegralityViolation(f"recovered spin {name} is negative")
-    return parity
+    return _parity(n_int)
 
 
 def triangle_sums(s: SpinSextuple) -> TriangleData:
@@ -198,7 +229,13 @@ def check_admissible(t: TriangleData, algebra: Algebra) -> None:
     parity constraint on the count of integer v_i (all four for su2; 0, 2 or 4
     for osp12), and the integrality of the six recovered doubled spins.
     """
-    _check(*t.doubled(), algebra)
+    v, p = t.doubled()
+    _check(v, p, algebra)
+    for twice, name in zip(_recovered(v, p), _FIELD_NAMES):
+        if twice % 2:
+            raise IntegralityViolation(f"recovered 2*{name} = {twice}/2 is not an integer")
+        if twice < 0:
+            raise IntegralityViolation(f"recovered spin {name} is negative")
 
 
 def is_admissible(s: SpinSextuple, algebra: Algebra) -> bool:

@@ -192,6 +192,11 @@ def super_sixj_alpha_direct(spins) -> ExactSymbol:
     return ExactSymbol.from_radicand(sign * total, prefactor)
 
 
+def primes_by_trial_division(n: int) -> list[int]:
+    """Primes <= n, each candidate tested by trial division up to its square root."""
+    return [m for m in range(2, n + 1) if all(m % q for q in range(2, math.isqrt(m) + 1))]
+
+
 # ---------------------------------------------------------------------------
 # random admissible sextuple generation
 

@@ -206,6 +206,25 @@ class TestInputBoundary:
         assert code == 3
         assert out == ""
 
+    @pytest.mark.parametrize("kind, k, spins", [
+        pytest.param("su2", 10**103, ("1",) * 6, id="su2-1e103"),  # k**3 past the float range
+        pytest.param("super", 10**400 + 1, HALVES, id="super-1e400+1"),  # k past the float range
+    ])
+    def test_asym_huge_k_is_usage_error(self, capsys, kind, k, spins):
+        code, out, err = run(capsys, "asym", "--kind", kind, "--k", str(k), *spins)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind, k, spins", [
+        pytest.param("su2", 10**102, ("1",) * 6, id="su2-1e102"),
+        pytest.param("super", 10**300 + 1, HALVES, id="super-1e300+1"),
+    ])
+    def test_asym_large_k_still_prints(self, capsys, kind, k, spins):
+        code, out, _ = run(capsys, "asym", "--kind", kind, "--k", str(k), *spins)
+        assert code == 0
+        assert out.startswith("parity    ")
+
     @pytest.mark.parametrize("k, expected", [(1, 3), (2, 0), (3, 3)])
     def test_asym_su2_exit_code_matches_eval(self, capsys, k, expected):
         scaled = [str(k * Fraction(x)) for x in self.HALVES]

@@ -1,13 +1,16 @@
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sixj import ExactSymbol, ScaledFloat, exact_to_scaled, factorial
-from sixj.exact import factorial_table, prime_exponent_in_factorial, squarefree_split
+from sixj import ExactSymbol, ScaledFloat, exact, exact_to_scaled, factorial
+from sixj.exact import factorial_table, prime_exponent_in_factorial, primes_up_to, squarefree_split
+from oracles import primes_by_trial_division
 
 
 def test_factorial_basics():
@@ -199,3 +202,66 @@ def test_from_prime_exponents_is_canonical(num, den, exps):
     assert v.squared() == square
     if num == 0:
         assert v.radicand == 1
+
+
+class TestSieveCache:
+    def test_matches_trial_division_in_shuffled_order(self, monkeypatch):
+        # start from an empty sieve, so its growth follows this test's requests
+        monkeypatch.setattr(exact, "_sieve", (2, []))
+        oracle = primes_by_trial_division(3000)
+        ns = list(range(3001))
+        random.Random(61).shuffle(ns)
+        largest = 0
+        for n in ns:
+            largest = max(largest, n)
+            assert primes_up_to(n) == [p for p in oracle if p <= n], n
+            assert exact._sieve[0] <= max(2, 2 * largest)
+        assert primes_up_to(-3) == []
+
+    def test_threads_growing_the_sieve_get_correct_primes(self, monkeypatch):
+        monkeypatch.setattr(exact, "_sieve", (2, []))
+        oracle = primes_by_trial_division(4000)
+        wrong = []
+
+        def work(seed):
+            rng = random.Random(seed)
+            for n in sorted(rng.randint(0, 4000) for _ in range(200)):
+                if primes_up_to(n) != [p for p in oracle if p <= n]:
+                    wrong.append(n)
+
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert exact._sieve[0] <= 2 * 4000
+
+    def test_mutating_a_result_changes_no_later_result(self):
+        first = primes_up_to(50)
+        first.append(4)
+        first[0] = 1
+        first.remove(7)
+        assert primes_up_to(50) == primes_by_trial_division(50)
+        assert primes_up_to(10) == [2, 3, 5, 7]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    num=st.integers(-(10**30), 10**30),
+    den=st.integers(-(10**12), 10**12).filter(bool),
+    exps=st.dictionaries(st.sampled_from(_PRIMES), st.integers(-9, 9), max_size=8),
+)
+@example(num=0, den=7, exps={2: 1})
+@example(num=12, den=-18, exps={3: 3})
+def test_from_prime_exponents_int_ratio_matches_fraction(num, den, exps):
+    by_ints = ExactSymbol.from_prime_exponents(num, exps, den)
+    by_fraction = ExactSymbol.from_prime_exponents(Fraction(num, den), exps)
+    assert type(by_ints.coeff) is Fraction and type(by_ints.radicand) is Fraction
+    assert (by_ints.coeff, by_ints.radicand) == (by_fraction.coeff, by_fraction.radicand)

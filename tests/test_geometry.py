@@ -84,11 +84,12 @@ class TestTetGeometry:
         while count < 100:
             s = random_admissible(rng, n=1, max_twice=16, min_twice=1)[0]
             try:
-                tet_from_spins(s)
+                geo = tet_from_spins(s)
             except NonEuclideanError:
                 continue
             a, b, c, d = _embed(s)
             j1, j2, j3, J1, J2, J3 = (float(x) for x in s.spins)
+            assert geo.lengths == (j1, j2, j3, J1, J2, J3)
             dist = lambda p, q: math.dist(p, q)
             assert dist(b, c) == pytest.approx(j1, rel=1e-9)
             assert dist(c, a) == pytest.approx(j2, rel=1e-9)

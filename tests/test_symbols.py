@@ -224,6 +224,15 @@ class TestPrefactors:
             assert product == explicit
             assert _prefactor_symbol(nums, dens, Fraction(1)).squared() == explicit
 
+    def test_unreduced_int_ratio_matches_fraction(self):
+        # the evaluators pass the kernel's (num, den) unreduced, as two ints
+        rng = random.Random(51)
+        for s in random_admissible(rng, n=100):
+            nums, dens = _super_prefactor_args(*triangle_sums(s).doubled())
+            num, den = rng.randint(-(10**9), 10**9), rng.randint(1, 10**6)
+            by_ints = _prefactor_symbol(nums, dens, 6 * num, 6 * den)
+            assert by_ints == _prefactor_symbol(nums, dens, Fraction(num, den))
+
     def test_shift_violation_on_wrong_data(self):
         s = SpinSextuple.of(2, HALF, HALF, HALF, HALF, 2)
         with pytest.raises(ShiftViolation):

@@ -1,7 +1,10 @@
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sixj import (
     HalfInt,
@@ -196,3 +199,58 @@ class TestSextupleEdge:
 
     def test_doubled(self):
         assert SpinSextuple.of(HALF, 1, 0, 2, Fraction(3, 2), 3).doubled() == (1, 2, 0, 4, 3, 6)
+
+
+def _forms(twice: int):
+    """Every value and text that SpinSextuple.of / parse read as twice/2."""
+    values = [Fraction(twice, 2), HalfInt(twice)] + ([twice // 2] if twice % 2 == 0 else [])
+    whole, half = divmod(twice, 2)
+    texts = [f"{twice}/2", f" {whole}.{5 * half}0 "] + ([str(whole)] if half == 0 else [])
+    return values, texts
+
+
+class TestConstructionsAgree:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.tuples(*[st.integers(0, 13)] * 6),
+        k=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_every_constructor_gives_the_same_sextuple(self, base, k, data):
+        d = tuple(k * x for x in base)
+        forms = [_forms(x) for x in d]
+        values = [data.draw(st.sampled_from(v)) for v, _ in forms]
+        texts = [data.draw(st.sampled_from(t)) for _, t in forms]
+        built = [
+            SpinSextuple.of(*values),
+            SpinSextuple.parse(texts),
+            SpinSextuple(*map(HalfInt, d)),
+            SpinSextuple(*map(HalfInt, base)).scaled(k),
+        ]
+        spins = tuple(map(HalfInt, d))
+        names = SpinSextuple.field_names()
+        text = "{" + " ".join(map(str, spins[:3])) + "; " + " ".join(map(str, spins[3:])) + "}"
+        fields = ", ".join(f"{n}={x!r}" for n, x in zip(names, spins))
+        for s in built:
+            assert s == built[0] and not (s != built[0])
+            assert hash(s) == hash(built[0])
+            assert s.doubled() == d
+            assert s.spins == spins
+            assert tuple(getattr(s, n) for n in names) == spins
+            assert str(s) == text
+            assert repr(s) == f"SpinSextuple({fields})"
+        assert len({*built}) == 1
+        assert SpinSextuple(*map(HalfInt, (d[0] + 1, *d[1:]))) != built[0]
+
+    @pytest.mark.parametrize("name", [*SpinSextuple.field_names(), "_d", "spins", "other"])
+    def test_assignment_raises(self, name):
+        s = SpinSextuple.of(1, 1, 1, 1, 1, 1)
+        with pytest.raises(FrozenInstanceError):
+            setattr(s, name, HalfInt(4))
+        with pytest.raises(FrozenInstanceError):
+            delattr(s, name)
+        assert s.doubled() == (2,) * 6
+
+    def test_not_equal_to_a_plain_tuple(self):
+        s = SpinSextuple.of(1, 1, 1, 1, 1, 1)
+        assert s != s.doubled() and s != s.spins
