@@ -20,12 +20,10 @@ from fractions import Fraction
 
 from .errors import NonEuclideanError
 from .halfint import _half_text
-from .triangles import SpinSextuple, TriangleData, _jj, _sums
+from .triangles import _FACES, SpinSextuple, TriangleData, _jj, _sums
 
 # CM determinants below DEGENERACY_RTOL * (max edge)^6 count as flat
 DEGENERACY_RTOL = Fraction(1, 10**12)
-# the slots of (j1, j2, j3), (J1, j2, J3), (J1, J2, j3), (j1, J2, J3) in the doubled spins
-_FACES = ((0, 1, 2), (3, 1, 5), (3, 4, 2), (0, 4, 5))
 
 
 @dataclass(frozen=True, slots=True)

@@ -158,10 +158,10 @@ def _alternating_sum(w: list[int], m: list[int], c0: int, c1: int) -> tuple[int,
     return (-num if lo % 2 else num), den
 
 
-def _prefactor_symbol(nums: list[int], dens: list[int], coeff, den: int | None = None) -> ExactSymbol:
-    """coeff * sqrt(prod nums! / prod dens!) built from prime-exponent vectors.
+def _prefactor_symbol(nums: list[int], dens: list[int], num: int, den: int) -> ExactSymbol:
+    """(num/den) * sqrt(prod nums! / prod dens!) built from prime-exponent vectors.
 
-    With an int ``den``, coeff/den is the kernel's unreduced int ratio.
+    num/den is the kernel's unreduced int ratio, reduced once at the end.
 
     The radicand is never multiplied out, so square extraction stays cheap
     however large the factorial arguments grow under spin rescaling.  The
@@ -181,7 +181,7 @@ def _prefactor_symbol(nums: list[int], dens: list[int], coeff, den: int | None =
                 e -= n
         if e:
             exps[p] = e
-    return ExactSymbol.from_prime_exponents(coeff, exps, den)
+    return ExactSymbol.from_prime_exponents(num, exps, den)
 
 
 def sixj_exact(s: SpinSextuple) -> ExactSymbol:

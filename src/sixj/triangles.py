@@ -58,6 +58,7 @@ class SpinSextuple:
     """
 
     __slots__ = ("_d",)
+    __match_args__ = _FIELD_NAMES
 
     def __init__(self, j1: HalfInt, j2: HalfInt, j3: HalfInt,
                  J1: HalfInt, J2: HalfInt, J3: HalfInt):
@@ -160,10 +161,12 @@ class TriangleData:
 
 
 _PARITY_BY_COUNT = {4: Parity.ALPHA, 2: Parity.BETA, 0: Parity.GAMMA}
+# the slots of the faces v1 ... v4: (j1 j2 j3), (J1 j2 J3), (J1 J2 j3), (j1 J2 J3)
+_FACES = ((0, 1, 2), (3, 1, 5), (3, 4, 2), (0, 4, 5))
 
 
 def _sums(d):
-    """Doubled triangle sums v and quadrangle sums p of doubled spins d."""
+    """Doubled triangle sums v (over _FACES) and quadrangle sums p of doubled spins d."""
     a, b, c, A, B, C = d
     v = (a + b + c, A + b + C, A + B + c, a + B + C)
     return v, (b + B + c + C, c + C + a + A, a + A + b + B)

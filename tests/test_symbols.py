@@ -187,19 +187,19 @@ class TestPrefactors:
         v, p = triangle_sums(SpinSextuple.of(1, 1, 1, 1, 1, 1)).doubled()
         nums = [(pj - vi) // 2 for pj in p for vi in v]
         dens = [vi // 2 + 1 for vi in v]
-        assert _prefactor_symbol(nums, dens, Fraction(1)).squared() == Fraction(1, 331776)
+        assert _prefactor_symbol(nums, dens, 1, 1).squared() == Fraction(1, 331776)
 
     def test_alpha_all_ones(self):
         t = triangle_sums(SpinSextuple.of(1, 1, 1, 1, 1, 1))
         assert classify_parity(t) is Parity.ALPHA
         args = _super_prefactor_args(*t.doubled())
-        assert _prefactor_symbol(*args, Fraction(1)).squared() == Fraction(1, 1296)
+        assert _prefactor_symbol(*args, 1, 1).squared() == Fraction(1, 1296)
 
     def test_gamma_all_halves(self):
         t = triangle_sums(SpinSextuple.of(*([HALF] * 6)))
         assert classify_parity(t) is Parity.GAMMA
         args = _super_prefactor_args(*t.doubled())
-        assert _prefactor_symbol(*args, Fraction(1)).squared() == Fraction(1, 16)
+        assert _prefactor_symbol(*args, 1, 1).squared() == Fraction(1, 16)
 
     def test_beta_matches_explicit_product(self):
         # generic integer-part prefactor equals the twelve-factorial split form
@@ -222,7 +222,7 @@ class TestPrefactors:
                 math.prod(map(math.factorial, nums)), math.prod(map(math.factorial, dens))
             )
             assert product == explicit
-            assert _prefactor_symbol(nums, dens, Fraction(1)).squared() == explicit
+            assert _prefactor_symbol(nums, dens, 1, 1).squared() == explicit
 
     def test_unreduced_int_ratio_matches_fraction(self):
         # the evaluators pass the kernel's (num, den) unreduced, as two ints
@@ -230,8 +230,13 @@ class TestPrefactors:
         for s in random_admissible(rng, n=100):
             nums, dens = _super_prefactor_args(*triangle_sums(s).doubled())
             num, den = rng.randint(-(10**9), 10**9), rng.randint(1, 10**6)
-            by_ints = _prefactor_symbol(nums, dens, 6 * num, 6 * den)
-            assert by_ints == _prefactor_symbol(nums, dens, Fraction(num, den))
+            value = _prefactor_symbol(nums, dens, 6 * num, 6 * den)
+            assert value == _prefactor_symbol(nums, dens, num, den)
+            product = Fraction(
+                math.prod(map(math.factorial, nums)), math.prod(map(math.factorial, dens))
+            )
+            assert value.squared() == Fraction(num, den) ** 2 * product
+            assert (value.coeff > 0) == (num * den > 0)
 
     def test_shift_violation_on_wrong_data(self):
         s = SpinSextuple.of(2, HALF, HALF, HALF, HALF, 2)

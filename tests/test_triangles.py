@@ -21,6 +21,7 @@ from sixj import (
     rescale,
     triangle_sums,
 )
+from sixj.triangles import _FACES, _sums
 from oracles import random_admissible
 
 H = HalfInt.of
@@ -32,6 +33,11 @@ def hx(*vals):
 
 
 class TestTriangleSums:
+    def test_faces_are_the_triangle_sums(self):
+        # the geometry's face check reads _FACES; admissibility reads _sums
+        d = (1, 10, 100, 1000, 10000, 100000)
+        assert tuple(sum(d[i] for i in face) for face in _FACES) == _sums(d)[0]
+
     def test_all_ones(self):
         t = triangle_sums(SpinSextuple.of(1, 1, 1, 1, 1, 1))
         assert t.v == hx(3, 3, 3, 3)
@@ -254,3 +260,11 @@ class TestConstructionsAgree:
     def test_not_equal_to_a_plain_tuple(self):
         s = SpinSextuple.of(1, 1, 1, 1, 1, 1)
         assert s != s.doubled() and s != s.spins
+
+    def test_positional_pattern_binds_the_fields(self):
+        s = SpinSextuple.of(HALF, 1, 2, 3, 4, 5)
+        match s:
+            case SpinSextuple(a, b, c, A, B, C):
+                assert (a, b, c, A, B, C) == s.spins
+            case _:
+                pytest.fail("positional pattern did not match")
