@@ -51,7 +51,6 @@ from .scan import (
 )
 from .symbols import (
     frontal_sign,
-    frontal_sign_closed_form,
     monomial,
     monomial_coefficients,
     sixj_exact,
@@ -110,7 +109,6 @@ __all__ = [
     "exact_to_scaled",
     "factorial",
     "frontal_sign",
-    "frontal_sign_closed_form",
     "is_admissible",
     "k_range",
     "local_maxima",

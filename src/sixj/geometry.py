@@ -2,14 +2,14 @@
 
 Edge lengths are the spin values themselves, with opposite-edge pairing
 (j1|J1, j2|J2, j3|J3): the faces are then exactly the four triangle sums of
-the symbol.  The squared-distance (Cayley-Menger) determinant is evaluated in
-exact rational arithmetic, so flatness tests never suffer cancellation; the
-dihedral angles come from an explicit floating-point embedding (base face in
-the plane, apex solved from the three remaining lengths).
-
-The saddle coefficients A, B, C of the asymptotics live here too, as exact
-integers on the doubled spins, because the identity 4AC - B^2 = 576 V^2 ties
-them to the same determinant.
+the symbol.  The squared-distance (Cayley-Menger) determinant CM is one
+integer on the doubled spins: the saddle coefficients A, B, C of the
+asymptotics are exact integers there, and 4AC - B^2 = 576 V^2 = 2 CM holds
+for any six lengths, so 64 CM = 2 (2 a2 c16 - b4^2) with (a2, b4, c16) =
+(2A, 4B, 16C).  Flatness tests, the volume and the discriminant check all
+read that integer, so none of them suffers cancellation.  The dihedral
+angles come from an explicit floating-point embedding (base face in the
+plane, apex solved from the three remaining lengths).
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ from fractions import Fraction
 from .errors import NonEuclideanError
 from .halfint import _half_text
 from .triangles import _FACES, SpinSextuple, TriangleData, _jj, _sums
-
-# CM determinants below DEGENERACY_RTOL * (max edge)^6 count as flat
-DEGENERACY_RTOL = Fraction(1, 10**12)
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,26 +41,29 @@ class TetGeometry:
         return math.pi - self.theta_ext[i]
 
 
-def _det(matrix: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    a = [row[:] for row in matrix]
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
+def _saddle(d, v) -> tuple[int, int, int]:
+    """(2A, 4B, 16C) on doubled spins d and doubled triangle sums v, as ints.
+
+    With j = d/2: 2A = sum d_i d_(i+3), 4B = that sum times sum d plus the
+    four doubled vertex triples, 16C = prod v.
+    """
+    a, b, c, A, B, C = d
+    jj = _jj(d)
+    return jj, jj * sum(d) + a * b * c + a * B * C + b * C * A + c * A * B, math.prod(v)
+
+
+def _cm64(d) -> int:
+    """64 CM = 2 (2 a2 c16 - b4^2) on doubled spins d, from the saddle identity."""
+    a2, b4, c16 = _saddle(d, _sums(d)[0])
+    return 2 * (2 * a2 * c16 - b4 * b4)
+
+
+def _cm_float(cm64: int, n: int) -> float:
+    """cm64 / n, correctly rounded; ValueError past the float range."""
+    try:
+        return cm64 / n
+    except OverflowError:
+        raise ValueError("spins are too large for the floating-point geometry") from None
 
 
 def cayley_menger(s: SpinSextuple) -> Fraction:
@@ -71,22 +71,10 @@ def cayley_menger(s: SpinSextuple) -> Fraction:
 
     Vertices A, B, C, D carry AB = j3, AC = j2, AD = J1, BC = j1, BD = J2,
     CD = J3, so face ABC is the (j1, j2, j3) triangle and each edge pair
-    (j_i, J_i) is opposite.
+    (j_i, J_i) is opposite.  Read off the saddle identity 2 CM = 4AC - B^2,
+    which holds for any six lengths, as one integer over 64.
     """
-    j1, j2, j3, J1, J2, J3 = (Fraction(x, 2) for x in s.doubled())
-    ab, ac, ad = j3 * j3, j2 * j2, J1 * J1
-    bc, bd = j1 * j1, J2 * J2
-    cd = J3 * J3
-    one = Fraction(1)
-    zero = Fraction(0)
-    m = [
-        [zero, one, one, one, one],
-        [one, zero, ab, ac, ad],
-        [one, ab, zero, bc, bd],
-        [one, ac, bc, zero, cd],
-        [one, ad, bd, cd, zero],
-    ]
-    return _det(m)
+    return Fraction(_cm64(s.doubled()), 64)
 
 
 def _sub(a, b):
@@ -143,13 +131,15 @@ def tet_from_spins(s: SpinSextuple) -> TetGeometry:
     Raises NonEuclideanError when the Cayley-Menger determinant is not
     positive beyond the degeneracy tolerance (the lengths do not embed, or
     embed flat), or when a face breaks the triangle inequality: a positive
-    determinant alone does not make the six lengths a tetrahedron.
+    determinant alone does not make the six lengths a tetrahedron.  Raises
+    ValueError when the determinant has no float value.
     """
-    cm = cayley_menger(s)
     twice = s.doubled()
-    if cm <= DEGENERACY_RTOL * Fraction(max(twice), 2) ** 6:
+    cm64 = _cm64(twice)
+    # CM <= 1e-12 (max j)^6 counts as flat; times 64 * 10**12 on doubled spins
+    if 10**12 * cm64 <= max(twice) ** 6:
         raise NonEuclideanError(
-            f"no Euclidean tetrahedron for {s}: Cayley-Menger determinant {float(cm):.6g}"
+            f"no Euclidean tetrahedron for {s}: Cayley-Menger determinant {_cm_float(cm64, 64):.6g}"
         )
     for face in _FACES:
         a, b, c = sorted(twice[i] for i in face)
@@ -158,7 +148,7 @@ def tet_from_spins(s: SpinSextuple) -> TetGeometry:
                 f"no Euclidean tetrahedron for {s}: face "
                 f"({', '.join(_half_text(twice[i]) for i in face)}) breaks the triangle inequality"
             )
-    volume = math.sqrt(float(cm / 288))
+    volume = math.sqrt(_cm_float(cm64, 18432))  # CM / 288 = 64 CM / (64 * 288)
     a, b, c, d = _embed(s)
     theta_int = (
         _dihedral(b, c, a, d),  # edge j1 = BC
@@ -170,18 +160,7 @@ def tet_from_spins(s: SpinSextuple) -> TetGeometry:
     )
     theta_ext = tuple(math.pi - th for th in theta_int)
     lengths = tuple(x / 2.0 for x in twice)
-    return TetGeometry(lengths, volume, theta_ext, cm)
-
-
-def _saddle(d, v) -> tuple[int, int, int]:
-    """(2A, 4B, 16C) on doubled spins d and doubled triangle sums v, as ints.
-
-    With j = d/2: 2A = sum d_i d_(i+3), 4B = that sum times sum d plus the
-    four doubled vertex triples, 16C = prod v.
-    """
-    a, b, c, A, B, C = d
-    jj = _jj(d)
-    return jj, jj * sum(d) + a * b * c + a * B * C + b * C * A + c * A * B, math.prod(v)
+    return TetGeometry(lengths, volume, theta_ext, Fraction(cm64, 64))
 
 
 def saddle_coeff_a(s: SpinSextuple) -> Fraction:
@@ -204,9 +183,11 @@ def discriminant_check(s: SpinSextuple) -> tuple[float, float]:
     """(4AC - B^2, 576 V^2) for comparison; no Euclidean requirement.
 
     The algebraic side uses the saddle coefficients, the geometric side the
-    exact Cayley-Menger determinant (576 V^2 = 2 CM, defined for any input
-    even when no tetrahedron exists and the common value is <= 0).
+    Cayley-Menger determinant (576 V^2 = 2 CM, defined for any input even
+    when no tetrahedron exists and the common value is <= 0).  CM is read
+    off the saddle identity, so both sides are the same integer 64 CM over
+    32 and agree by construction; the tests check that integer against an
+    independent 5x5 determinant.
     """
-    d = s.doubled()
-    a2, b4, c16 = _saddle(d, _sums(d)[0])
-    return (2 * a2 * c16 - b4 * b4) / 16, float(2 * cayley_menger(s))
+    disc = _cm_float(_cm64(s.doubled()), 32)
+    return disc, disc

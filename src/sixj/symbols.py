@@ -36,7 +36,6 @@ from .triangles import (
     BetaDecomposition,
     Parity,
     SpinSextuple,
-    TriangleData,
     _beta_split,
     _check,
     _jj,
@@ -53,24 +52,6 @@ def frontal_sign(s: SpinSextuple, k: int = 1) -> int:
     if k % 2 == 0:
         return 1
     return -1 if _jj(s.doubled()) % 2 else 1
-
-
-def frontal_sign_closed_form(parity: Parity, t: TriangleData, bd: BetaDecomposition | None = None) -> int:
-    """Odd-k frontal sign from the parity-specific closed forms.
-
-    alpha: +1; gamma: (-1)^(1 + sum p_j); beta: (-1)^(v + v' - p).
-    """
-    if parity is Parity.ALPHA:
-        return 1
-    if parity is Parity.GAMMA:
-        total = t.p_sum
-        if not total.is_integer:
-            raise ValueError("gamma parity implies an integer quadrangle sum")
-        return -1 if (1 + int(total)) % 2 else 1
-    if bd is None:
-        raise ValueError("beta closed form needs a BetaDecomposition")
-    exponent = bd.v + bd.v_prime - bd.p
-    return -1 if int(exponent) % 2 else 1
 
 
 def monomial(

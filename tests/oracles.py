@@ -192,6 +192,61 @@ def super_sixj_alpha_direct(spins) -> ExactSymbol:
     return ExactSymbol.from_radicand(sign * total, prefactor)
 
 
+def frontal_sign_closed_form(spins) -> int:
+    """Odd-k frontal sign from the paper's per-parity closed forms.
+
+    alpha (four integer triangle sums): +1; gamma (none): (-1)^(1 + sum p);
+    beta (two): (-1)^(v + v' - p), with v, v' the integer triangle sums and
+    p the one integer quadrangle sum.
+    """
+    tri, quad = _sums(*(Fraction(x) for x in spins))
+    ints = [t for t in tri if t.denominator == 1]
+    if len(ints) == 4:
+        return 1
+    if not ints:
+        exponent = 1 + sum(quad)
+    elif len(ints) == 2:
+        (p,) = [q for q in quad if q.denominator == 1]
+        exponent = ints[0] + ints[1] - p
+    else:
+        raise ValueError("impossible parity")
+    if exponent.denominator != 1:
+        raise ValueError(f"sign exponent {exponent} is not an integer")
+    return (-1) ** int(exponent)
+
+
+def cayley_menger_det(spins) -> Fraction:
+    """Cayley-Menger determinant of the tetrahedron with edge lengths = spins.
+
+    The textbook 5x5 bordered matrix of squared distances, vertices A, B, C, D
+    with AB = j3, AC = j2, AD = J1, BC = j1, BD = J2, CD = J3, expanded by
+    Fraction Gaussian elimination with row pivoting.
+    """
+    j1, j2, j3, J1, J2, J3 = (Fraction(x) for x in spins)
+    ab, ac, ad, bc, bd, cd = j3**2, j2**2, J1**2, j1**2, J2**2, J3**2
+    m = [
+        [Fraction(0), Fraction(1), Fraction(1), Fraction(1), Fraction(1)],
+        [Fraction(1), Fraction(0), ab, ac, ad],
+        [Fraction(1), ab, Fraction(0), bc, bd],
+        [Fraction(1), ac, bc, Fraction(0), cd],
+        [Fraction(1), ad, bd, cd, Fraction(0)],
+    ]
+    det = Fraction(1)
+    for col in range(5):
+        pivot = next((r for r in range(col, 5) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, 5):
+            f = m[r][col] / m[col][col]
+            for c in range(col, 5):
+                m[r][c] -= f * m[col][c]
+    return det
+
+
 def primes_by_trial_division(n: int) -> list[int]:
     """Primes <= n, each candidate tested by trial division up to its square root."""
     return [m for m in range(2, n + 1) if all(m % q for q in range(2, math.isqrt(m) + 1))]

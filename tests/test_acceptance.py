@@ -22,7 +22,6 @@ from sixj import (
     discriminant_check,
     envelope_slope,
     frontal_sign,
-    frontal_sign_closed_form,
     local_maxima,
     monomial,
     monomial_coefficients,
@@ -36,7 +35,14 @@ from sixj import (
     triangle_sums,
 )
 from sixj.asymptotics import dihedral_phase, shift_pair
-from oracles import racah_sixj, random_admissible, super_sixj_alpha_direct, super_sixj_direct
+from oracles import (
+    cayley_menger_det,
+    frontal_sign_closed_form,
+    racah_sixj,
+    random_admissible,
+    super_sixj_alpha_direct,
+    super_sixj_direct,
+)
 
 HALF = Fraction(1, 2)
 ALL_ONES = SpinSextuple.of(1, 1, 1, 1, 1, 1)
@@ -132,7 +138,11 @@ def test_criterion_3_discriminant_identity():
     worst = 0.0
     while checked < 1000:
         s = SpinSextuple(*(HalfInt(rng.randint(1, 40)) for _ in range(6)))
-        if cayley_menger(s) <= 0:
+        cm = cayley_menger(s)
+        # both sides of discriminant_check read the same integer; the
+        # determinant itself is checked against the independent oracle
+        assert cm == cayley_menger_det([x.as_fraction() for x in s.spins]), s
+        if cm <= 0:
             continue
         alg, geo = discriminant_check(s)
         err = abs(alg - geo)
@@ -247,9 +257,7 @@ def test_criterion_8_phase_suite():
     rng = random.Random(103)
     for parity in ("alpha", "beta", "gamma"):
         for s in random_admissible(rng, parity=parity, n=1000, max_twice=10):
-            t = triangle_sums(s)
-            bd = beta_decompose(s, t) if parity == "beta" else None
-            closed = frontal_sign_closed_form(classify_parity(t), t, bd)
+            closed = frontal_sign_closed_form([x.as_fraction() for x in s.spins])
             for k in (1, 3, 5):
                 assert frontal_sign(s, k) == closed, (s, k)
     report(8, True, "frontal sign == parity closed forms for odd k on 3x1000 sextuples")

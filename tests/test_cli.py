@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sixj.cli import cli_main
 
@@ -225,9 +229,72 @@ class TestInputBoundary:
         assert code == 0
         assert out.startswith("parity    ")
 
+    @pytest.mark.parametrize("command, spins", [
+        pytest.param(("geometry",), ("0", "0", "1/2", "0", "0", "10" * 40), id="geometry-flat"),
+        pytest.param(("geometry",), (str(10**60),) * 6, id="geometry-regular"),
+        pytest.param(("asym", "--kind", "su2", "--k", "1"), (str(10**60),) * 6, id="asym-su2"),
+        pytest.param(("asym", "--kind", "super", "--k", "3"), (str(10**60),) * 6, id="asym-super"),
+    ])
+    def test_spins_past_the_float_range_are_usage_error(self, capsys, command, spins):
+        # the Cayley-Menger determinant of these spins has no float value
+        code, out, err = run(capsys, *command, *spins)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [("geometry",), ("asym", "--kind", "super", "--k", "3")])
+    def test_large_spins_still_print(self, capsys, command):
+        code, out, _ = run(capsys, *command, *(str(10**50),) * 6)
+        assert code == 0
+        assert out.startswith(("volume    ", "parity    "))
+
     @pytest.mark.parametrize("k, expected", [(1, 3), (2, 0), (3, 3)])
     def test_asym_su2_exit_code_matches_eval(self, capsys, k, expected):
         scaled = [str(k * Fraction(x)) for x in self.HALVES]
         asym_code, _, _ = run(capsys, "asym", "--kind", "su2", "--k", str(k), *self.HALVES)
         eval_code, _, _ = run(capsys, "eval", "--kind", "su2", *scaled)
         assert asym_code == eval_code == expected
+
+
+# malformed or borderline tokens for the spin and k parsers, and one spin too large
+# for the floating-point geometry
+JUNK = ["", "-", "x", "1/0", "1/3", "-1/2", "nan", "inf", "1e3", "0x10", "1.25", "½", "--k", "3/2/2", " 1", "10" * 40]
+# half-integer spins 0 ... 200 as "n", "n.0" or "m/2"
+HALF_SPIN = st.integers(0, 400).map(lambda d: str(d // 2) if d % 2 == 0 else f"{d}/2")
+SPIN_TOKEN = st.one_of(HALF_SPIN, HALF_SPIN.map(lambda t: t if "/" in t else f"{t}.0"), st.sampled_from(JUNK))
+K_TOKEN = st.one_of(
+    st.integers(-5, 400).map(str),
+    st.sampled_from([10**102, 10**103, 10**300 + 1, 10**400 + 1, 10**4000]).map(str),
+    st.sampled_from(JUNK),
+)
+
+
+class TestFuzzGeometryPath:
+    """Every argv for geometry and asym ends in a documented exit code, never a traceback."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        command=st.one_of(
+            st.just(["geometry"]),
+            st.tuples(st.sampled_from(["su2", "super"]), K_TOKEN).map(
+                lambda kk: ["asym", "--kind", kk[0], "--k", kk[1]]
+            ),
+        ),
+        spins=st.one_of(
+            st.lists(HALF_SPIN, min_size=6, max_size=6),
+            st.lists(SPIN_TOKEN, min_size=5, max_size=7),
+        ),
+        separator=st.booleans(),
+    )
+    def test_exit_code_documented(self, command, spins, separator):
+        # "--" hands tokens such as "-1/2" or "--k" to the spin parser
+        argv = [*command, *(["--"] if separator else []), *spins]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+        assert code in (0, 2, 3, 4), (argv, code)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert out.getvalue() and not err.getvalue()
+        else:
+            assert err.getvalue()

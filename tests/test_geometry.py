@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sixj import (
+    HalfInt,
     NonEuclideanError,
     SpinSextuple,
     cayley_menger,
@@ -14,10 +17,21 @@ from sixj import (
     tet_from_spins,
     triangle_sums,
 )
-from oracles import random_admissible
+from oracles import cayley_menger_det, random_admissible
 
 HALF = Fraction(1, 2)
+FLAT_MESSAGE = "Cayley-Menger determinant"
 REGULAR_EXT = math.pi - math.acos(1.0 / 3.0)
+FACES = ((0, 1, 2), (0, 4, 5), (3, 1, 5), (3, 4, 2))  # (j1 j2 j3), (j1 J2 J3), (J1 j2 J3), (J1 J2 j3)
+
+
+def sextuple(d) -> SpinSextuple:
+    """The sextuple with doubled spins d."""
+    return SpinSextuple(*map(HalfInt, d))
+
+
+def halves(d) -> list[Fraction]:
+    return [Fraction(x, 2) for x in d]
 
 
 def column_symmetries(spins):
@@ -61,6 +75,15 @@ class TestTetGeometry:
         assert cayley_menger(s) > 0
         with pytest.raises(NonEuclideanError, match="triangle inequality"):
             tet_from_spins(s)
+
+    @pytest.mark.parametrize("d", [(0, 0, 1, 0, 0, 10**80), (2 * 10**60,) * 6])
+    def test_spins_past_the_float_range(self, d):
+        # the determinant is exact, but neither the flatness message nor the
+        # volume has a float value
+        with pytest.raises(ValueError, match="too large for the floating-point geometry"):
+            tet_from_spins(sextuple(d))
+        with pytest.raises(ValueError, match="too large for the floating-point geometry"):
+            discriminant_check(sextuple(d))
 
     def test_exterior_angles_in_range_and_complementary(self):
         rng = random.Random(61)
@@ -135,7 +158,9 @@ class TestDiscriminant:
         count = 0
         while count < 300:
             s = SpinSextuple(*(HalfInt(rng.randint(1, 40)) for _ in range(6)))
-            if cayley_menger(s) <= 0:
+            cm = cayley_menger(s)
+            assert cm == cayley_menger_det([x.as_fraction() for x in s.spins]), s
+            if cm <= 0:
                 continue
             alg, geo = discriminant_check(s)
             assert abs(alg - geo) <= 1e-9 * max(1.0, abs(alg))
@@ -159,3 +184,115 @@ class TestDiscriminant:
             vv = sum(v[i] * v[j] for i in range(4) for j in range(i + 1, 4))
             pp = sum(p[i] * p[j] for i in range(3) for j in range(i + 1, 3))
             assert a == vv - pp
+
+
+class TestCayleyMengerInteger:
+    """The integer determinant read off the saddle identity, against the
+    textbook 5x5 determinant of the oracle and the old rational flatness test."""
+
+    def test_exhaustive_against_oracle(self):
+        zeros = negative = broken_face = 0
+        for d in itertools.product(range(5), repeat=6):
+            cm = cayley_menger(sextuple(d))
+            assert cm == cayley_menger_det(halves(d)), d
+            zeros += 0 in d
+            negative += cm < 0
+            if cm > 0 and any(x + y < z for x, y, z in (sorted(d[i] for i in f) for f in FACES)):
+                broken_face += 1
+        assert zeros and negative and broken_face
+
+    def test_degeneracy_boundary(self):
+        # the needle disphenoid {P/2 1/2 P/2; P/2 1/2 P/2} has CM = (8 P^2 - 4) / 64
+        # and gets flatter relative to P^6 as P grows: the first P whose CM
+        # falls under 1e-12 (max j)^6 is flat, the one before it is not
+        def cm64(p):
+            return 64 * cayley_menger(sextuple((p, 1, p, p, 1, p)))
+
+        p = 100
+        while 10**12 * cm64(p) > p**6:
+            p += 1
+        assert p - 1 >= 100 and cm64(p) == 8 * p * p - 4 > 0
+        assert 10**12 * cm64(p - 1) > (p - 1) ** 6
+        flat, above = sextuple((p, 1, p, p, 1, p)), sextuple((p - 1, 1, p - 1, p - 1, 1, p - 1))
+        with pytest.raises(NonEuclideanError, match=FLAT_MESSAGE):
+            tet_from_spins(flat)
+        geo = tet_from_spins(above)
+        assert geo.cayley_menger == cm64(p - 1) / 64 and geo.volume > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.tuples(*[st.integers(0, 400)] * 6),
+        st.builds(
+            lambda p, e, dp: tuple(max(0, x + y) for x, y in zip((p, e, p, p, e, p), dp)),
+            st.integers(1600, 1800), st.integers(0, 3), st.tuples(*[st.integers(-1, 1)] * 6),
+        ),
+    ))
+    def test_integer_flatness_test_equals_rational_form(self, d):
+        cm = cayley_menger_det(halves(d))
+        flat = cm <= Fraction(1, 10**12) * Fraction(max(d), 2) ** 6
+        assert (10**12 * 64 * cayley_menger(sextuple(d)) <= max(d) ** 6) == flat
+        try:
+            tet_from_spins(sextuple(d))
+            message = ""
+        except NonEuclideanError as exc:
+            message = str(exc)
+        assert (FLAT_MESSAGE in message) == flat, (d, message)
+
+
+class TestDihedralAccuracy:
+    def test_against_mpmath_embedding(self):
+        """Angles and volume against a 50-digit embedding from the Gram matrix."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            worst_angle, worst_volume = self._worst_errors(mpmath)
+        print(f"worst dihedral error {worst_angle:.3g} rad, worst volume error {worst_volume:.3g}")
+        assert worst_angle <= 1e-12
+        assert worst_volume <= 1e-15
+
+    @staticmethod
+    def _worst_errors(mpmath):
+        rng = random.Random(65)
+        worst_angle = worst_volume = 0.0
+        count = 0
+        while count < 1000:
+            d = tuple(rng.randint(1, 400) for _ in range(6))
+            try:
+                geo = tet_from_spins(sextuple(d))
+            except NonEuclideanError:
+                continue
+            # vertices A, B, C, D with AB = j3, AC = j2, AD = J1, BC = j1, BD = J2, CD = J3
+            j1, j2, j3, J1, J2, J3 = (mpmath.mpf(x) / 2 for x in d)
+            to_a = (j3, j2, J1)  # |B - A|, |C - A|, |D - A|
+            across = {(0, 1): j1, (0, 2): J2, (1, 2): J3}
+            gram = mpmath.matrix(3, 3)
+            for i in range(3):
+                for k in range(3):
+                    cross = 0 if i == k else across[min(i, k), max(i, k)]
+                    gram[i, k] = (to_a[i] ** 2 + to_a[k] ** 2 - cross**2) / 2
+            rows = mpmath.cholesky(gram)
+            a = mpmath.matrix([0, 0, 0])
+            b, c, dd = (mpmath.matrix([rows[i, 0], rows[i, 1], rows[i, 2]]) for i in range(3))
+
+            def interior(p, q, r, t):
+                u = q - p
+                n1, n2 = _cross3(mpmath, u, r - p), _cross3(mpmath, u, t - p)
+                return mpmath.acos(_dot3(n1, n2) / mpmath.sqrt(_dot3(n1, n1) * _dot3(n2, n2)))
+
+            exact = (
+                interior(b, c, a, dd), interior(c, a, b, dd), interior(a, b, c, dd),
+                interior(a, dd, b, c), interior(b, dd, a, c), interior(c, dd, a, b),
+            )
+            for theta, th_int in zip(geo.theta_ext, exact):
+                worst_angle = max(worst_angle, float(abs(theta - (mpmath.pi - th_int))))
+            volume = mpmath.sqrt(mpmath.det(gram)) / 6
+            worst_volume = max(worst_volume, float(abs(geo.volume - volume) / volume))
+            count += 1
+        return worst_angle, worst_volume
+
+
+def _dot3(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross3(mpmath, u, v):
+    return mpmath.matrix([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]])

@@ -19,7 +19,6 @@ from sixj import (
     beta_decompose,
     classify_parity,
     frontal_sign,
-    frontal_sign_closed_form,
     is_admissible,
     monomial,
     monomial_coefficients,
@@ -30,6 +29,7 @@ from sixj import (
 from sixj import symbols
 from sixj.symbols import _alternating_sum, _prefactor_symbol, _super_prefactor_args
 from oracles import (
+    frontal_sign_closed_form,
     racah_sixj,
     random_admissible,
     sixj_zero_spin,
@@ -110,9 +110,8 @@ class TestFrontalSign:
 
     def test_all_halves_minus(self):
         s = SpinSextuple.of(*([HALF] * 6))
-        t = triangle_sums(s)
         assert frontal_sign(s, 1) == -1
-        assert frontal_sign_closed_form(Parity.GAMMA, t) == -1
+        assert frontal_sign_closed_form([HALF] * 6) == -1
 
     def test_even_k_plus(self):
         rng = random.Random(45)
@@ -123,9 +122,7 @@ class TestFrontalSign:
     def test_matches_closed_form_for_odd_k(self, parity):
         rng = random.Random(46)
         for s in random_admissible(rng, parity=parity, n=200):
-            t = triangle_sums(s)
-            bd = beta_decompose(s, t) if parity == "beta" else None
-            closed = frontal_sign_closed_form(classify_parity(t), t, bd)
+            closed = frontal_sign_closed_form([x.as_fraction() for x in s.spins])
             for k in (1, 3, 5):
                 assert frontal_sign(s, k) == closed
 
@@ -137,10 +134,7 @@ class TestFrontalSign:
             s = SpinSextuple(*map(HalfInt, d))
             if not is_admissible(s, "osp12"):
                 continue
-            t = triangle_sums(s)
-            parity = classify_parity(t)
-            bd = beta_decompose(s, t) if parity is Parity.BETA else None
-            closed = frontal_sign_closed_form(parity, t, bd)
+            closed = frontal_sign_closed_form([Fraction(x, 2) for x in d])
             assert frontal_sign(s, 1) == frontal_sign(s, 3) == closed, d
             count += 1
         assert count == 17245
