@@ -57,65 +57,41 @@ class AsymptoticResult:
     parity_used: str
 
 
-@dataclass(frozen=True, slots=True)
-class ShiftPair:
-    """Magnitude N and phase psi with a*cos(x) + b*sin(x) = N*cos(x - psi)."""
-
-    magnitude: float
-    phase: float
-
-
-def shift_from_components(a: float, b: float) -> ShiftPair:
-    """Combine cosine/sine coefficients into a single shifted cosine."""
+def _polar(a: float, b: float) -> tuple[float, float]:
+    """(N, psi) with a*cos(x) + b*sin(x) = N*cos(x - psi)."""
     if a == 0.0 and b == 0.0:
         raise UndefinedShiftError("both cosine and sine coefficients vanish")
-    return ShiftPair(math.hypot(a, b), math.atan2(b, a))
+    return math.hypot(a, b), math.atan2(b, a)
 
 
-def _shift(parity: Parity, d, v, split, vol24: float) -> ShiftPair:
-    """(N, psi) from the doubled spins d, sums v and, for beta, the split."""
-    _, b4, c16 = _saddle(d, v)
-    if split is None:
-        sp = shift_from_components(b4 / 4, vol24)
-        return sp if parity is Parity.ALPHA else ShiftPair(sp.magnitude, -sp.phase)
-    V, Vp, _, _, _, Pb, Pbp, *_ = split
-    w4 = Pb * Pbp - V * Vp
-    return shift_from_components((c16 * (V + Vp - Pb - Pbp) + b4 * w4) / 16, vol24 * (w4 / 4))
-
-
-def _phase(d, k: int, theta, gamma: bool = False, slot: int | None = None) -> float:
-    """sum (k j + 1/2) theta_j, or k sum j theta_j for gamma, plus theta_slot / 2."""
-    spins = [x / 2.0 for x in d]
-    if gamma:
-        return k * sum(j * t for j, t in zip(spins, theta))
-    total = sum((k * j + 0.5) * t for j, t in zip(spins, theta))
-    return total if slot is None else total + 0.5 * theta[slot]
-
-
-def shift_pair(parity: Parity, s: SpinSextuple, geo: TetGeometry | None = None) -> ShiftPair:
-    """Per-parity (N, psi) of the oscillatory part.
+def _shift(parity: Parity, d, v, split, vol24: float) -> tuple[float, float]:
+    """Per-parity (N, psi) from the doubled spins d, sums v and, for beta, the split.
 
     alpha: N = sqrt(B^2 + (24V)^2), psi = atan2(24V, B); gamma shares N with
     psi negated; beta combines the full cosine coefficient (including the
     B-term) with 24V*(pbar*pbar' - vv').
     """
-    d = s.doubled()
-    v, p = _sums(d)
-    geo = geo or tet_from_spins(s)
-    split = _beta_split(d, v, p) if parity is Parity.BETA else None
-    return _shift(parity, d, v, split, 24.0 * geo.volume)
+    _, b4, c16 = _saddle(d, v)
+    if split is None:
+        n, psi = _polar(b4 / 4, vol24)
+        return (n, psi) if parity is Parity.ALPHA else (n, -psi)
+    V, Vp, _, _, _, Pb, Pbp, *_ = split
+    w4 = Pb * Pbp - V * Vp
+    return _polar((c16 * (V + Vp - Pb - Pbp) + b4 * w4) / 16, vol24 * (w4 / 4))
 
 
-def dihedral_phase(parity: Parity | None, s: SpinSextuple, k: int, geo: TetGeometry) -> float:
+def _phase(d, k: int, theta, gamma: bool = False, slot: int | None = None) -> float:
     """Accumulated dihedral-angle phase of the cosine argument.
 
-    None (standard) / alpha: sum (k*j + 1/2) theta_j over all six edges;
-    gamma: k * sum j theta_j (no half offsets);
-    beta: the alpha form plus theta_jstar / 2 (one edge promoted to k*j + 1).
+    Standard and alpha: sum (k j + 1/2) theta_j over all six edges; gamma:
+    k sum j theta_j (no half offsets); beta: the alpha form plus
+    theta_slot / 2 at the jstar slot (one edge promoted to k j + 1).
     """
-    d = s.doubled()
-    slot = _beta_split(d, *_sums(d))[-1] if parity is Parity.BETA else None
-    return _phase(d, k, geo.theta_ext, parity is Parity.GAMMA, slot)
+    spins = [x / 2.0 for x in d]
+    if gamma:
+        return k * sum(j * t for j, t in zip(spins, theta))
+    total = sum((k * j + 0.5) * t for j, t in zip(spins, theta))
+    return total if slot is None else total + 0.5 * theta[slot]
 
 
 def _beta_factors(v, p, split) -> tuple[float, float, float]:
@@ -138,15 +114,15 @@ def _route(s: SpinSextuple, k: int, geo: TetGeometry | None, d, v, p, parity: Pa
     geo = geo or tet_from_spins(s)
     split = _beta_split(d, v, p) if parity is Parity.BETA else None
     factors = _beta_factors(v, p, split) if split else None
-    sp = _shift(parity, d, v, split, 24.0 * geo.volume)
+    n, psi = _shift(parity, d, v, split, 24.0 * geo.volume)
     root = math.sqrt(48.0 * math.pi * _float(k) * geo.volume)
     if factors is None:
-        amplitude = sp.magnitude / (root * math.sqrt(math.prod(v) / 16))
+        amplitude = n / (root * math.sqrt(math.prod(v) / 16))
     else:
         front, ratio, area = factors
-        amplitude = sp.magnitude * math.sqrt(front) * ratio ** 0.25 / (root * area ** 0.25)
+        amplitude = n * math.sqrt(front) * ratio ** 0.25 / (root * area ** 0.25)
     slot = split[-1] if split else None
-    angle = 0.25 * math.pi + _phase(d, k, geo.theta_ext, parity is Parity.GAMMA, slot) - sp.phase
+    angle = 0.25 * math.pi + _phase(d, k, geo.theta_ext, parity is Parity.GAMMA, slot) - psi
     if k * _jj(d) % 2:
         angle += math.pi
     return AsymptoticResult(amplitude, angle, amplitude * math.cos(angle), parity.value)

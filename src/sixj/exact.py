@@ -7,7 +7,8 @@ comparison.  ``ScaledFloat`` is a sign/mantissa/exponent triple that survives
 conversions whose intermediate numerators and denominators overflow any
 native float by thousands of orders of magnitude.
 
-``ExactSymbol.from_prime_exponents`` reduces the evaluators' int ratio once.
+``ExactSymbol.from_prime_exponents`` reduces the evaluators' int ratio once;
+its ``den`` is required, because every caller holds an unreduced int ratio.
 ``primes_up_to`` serves every call from one module-level sieve that grows on
 demand and never covers more than twice the largest n requested.
 """
@@ -25,25 +26,6 @@ def factorial(n: int) -> int:
     if n < 0:
         raise ValueError(f"factorial of negative value {n}")
     return math.factorial(n)
-
-
-def factorial_table(n: int) -> list[int]:
-    """List of k! for k = 0..n, built incrementally."""
-    out = [1] * (n + 1)
-    acc = 1
-    for k in range(1, n + 1):
-        acc *= k
-        out[k] = acc
-    return out
-
-
-def prime_exponent_in_factorial(n: int, p: int) -> int:
-    """Exponent of the prime p in n! (Legendre's formula)."""
-    e = 0
-    while n:
-        n //= p
-        e += n
-    return e
 
 
 # (limit, the primes below limit), replaced as one tuple so that no reader
@@ -127,19 +109,15 @@ class ExactSymbol:
         return cls(Fraction(0), Fraction(1))
 
     @classmethod
-    def from_radicand(cls, coeff, radicand) -> "ExactSymbol":
-        return cls(Fraction(coeff), Fraction(radicand))
-
-    @classmethod
-    def from_prime_exponents(cls, coeff, exponents: dict[int, int], den: int | None = None) -> "ExactSymbol":
-        """Build coeff * sqrt(prod p**e) from a prime-exponent map.
+    def from_prime_exponents(cls, num: int, exponents: dict[int, int], den: int) -> "ExactSymbol":
+        """Build (num/den) * sqrt(prod p**e) from a prime-exponent map.
 
         The square part prod p**(e//2) moves into the coefficient without ever
         multiplying out the radicand.  Each odd-exponent prime enters the
         radicand once, so it is square-free with coprime parts already: the
         value is built canonical, without __post_init__'s trial division.
-        With an int ``den``, coeff/den is an int ratio, reduced once together
-        with the square part; without it, coeff is any rational.
+        num/den is an int ratio, unreduced, reduced once together with the
+        square part.
         """
         mult_num = mult_den = 1
         rad_num = rad_den = 1
@@ -152,10 +130,7 @@ class ExactSymbol:
                 mult_den *= p ** (-e >> 1)
                 if e & 1:
                     rad_den *= p
-        if den is None:
-            q = Fraction(coeff)
-            coeff, den = q.numerator, q.denominator
-        q = Fraction(coeff * mult_num, den * mult_den)
+        q = Fraction(num * mult_num, den * mult_den)
         if not q:
             return cls.zero()
         value = object.__new__(cls)

@@ -140,7 +140,8 @@ def local_maxima(records: list[ScanRecord]) -> list[ScanRecord]:
 def envelope_slope(records: list[ScanRecord]) -> SlopeFit:
     """Fit log|exact| vs log k through the local maxima of |exact|.
 
-    Needs at least three maxima; fewer raise InsufficientExtremaError.
+    Needs at least three maxima, and not all at one float log k; otherwise
+    raises InsufficientExtremaError.
     """
     peaks = local_maxima(records)
     if len(peaks) < 3:
@@ -148,6 +149,8 @@ def envelope_slope(records: list[ScanRecord]) -> SlopeFit:
             f"envelope fit needs >= 3 local maxima, found {len(peaks)}"
         )
     xs = [math.log(r.k) for r in peaks]
+    if min(xs) == max(xs):
+        raise InsufficientExtremaError("envelope fit needs local maxima at distinct log k")
     ys = [r.exact.abs_ln() for r in peaks]
     n = len(xs)
     xbar = sum(xs) / n
@@ -178,26 +181,41 @@ def _cell(value) -> str:
 
 
 def read_csv(fh) -> list[ScanRecord]:
-    """Parse a scan CSV back into records (exact values from mantissa/exp2)."""
-    reader = csv.DictReader(fh)
-    missing = set(CSV_COLUMNS) - set(reader.fieldnames or ())
-    if missing:
-        raise ValueError(f"scan CSV missing columns: {sorted(missing)}")
-    records = []
-    for row in reader:
-        exact = ScaledFloat(float(row["exact_mantissa"]), int(row["exact_exp2"]))
-        records.append(
-            ScanRecord(
-                k=int(row["k"]),
-                parity=row["parity"],
-                exact=exact,
-                asym=float(row["asym"]),
-                abs_err=float(row["abs_err"]),
-                amplitude=float(row["amplitude"]),
-                angle=float(row["angle"]),
-            )
-        )
+    """Parse a scan CSV back into records (exact values from mantissa/exp2).
+
+    Raises ValueError, naming the line, on malformed CSV, on missing
+    columns, on a row whose cell count differs from the header's, on a cell
+    that does not parse, on an exact_exp2 past 2**53 and on k values that
+    are not positive and strictly ascending, the rule scan enforces.
+    """
+    reader = csv.reader(fh)
+    records: list[ScanRecord] = []
+    try:
+        header = next(reader, [])
+        missing = set(CSV_COLUMNS) - set(header)
+        if missing:
+            raise ValueError(f"missing columns {sorted(missing)}")
+        for cells in reader:
+            if cells:  # [] is a blank line
+                records.append(_record(header, cells, records[-1].k if records else 0))
+    except (csv.Error, ValueError) as exc:
+        raise ValueError(f"scan CSV line {reader.line_num}: {exc}") from None
     return records
+
+
+def _record(header: list[str], cells: list[str], last_k: int) -> ScanRecord:
+    """The record of one CSV row, whose k must exceed last_k."""
+    if len(cells) != len(header):
+        raise ValueError(f"{len(cells)} cells, the header has {len(header)}")
+    row = dict(zip(header, cells))
+    k, exp2 = int(row["k"]), int(row["exact_exp2"])
+    if k <= last_k:
+        raise ValueError("k values must be positive and strictly ascending")
+    if abs(exp2) > 2**53:  # past it, abs_log2 is not exact
+        raise ValueError(f"exact_exp2 {exp2} is out of range")
+    # the last four columns are the float fields, in ScanRecord order
+    floats = [float(row[c]) for c in CSV_COLUMNS[5:]]
+    return ScanRecord(k, row["parity"], ScaledFloat(float(row["exact_mantissa"]), exp2), *floats)
 
 
 def write_json(records: list[ScanRecord], fh) -> None:

@@ -19,75 +19,30 @@ Both evaluators run one pipeline on the doubled spins d = (2j1, ..., 2J3),
 read once from the sextuple: doubled triangle data and admissibility from
 the ``triangles`` core, the parity monomial scaled by 4 to integers, the
 frontal sign from sum d_i d_(i+3) and the prefactor arguments (p_j - v_i)//2
-and (v_i + 1)//2.  No HalfInt or Fraction is built before the sum; the
-public helpers below are adapters over the same functions.
+and (v_i + 1)//2.  No HalfInt or Fraction is built before the sum.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from fractions import Fraction
 
 from .errors import EmptySumWarning, ShiftViolation
 from .exact import ExactSymbol, primes_up_to
 from .halfint import HalfInt
-from .triangles import (
-    BetaDecomposition,
-    Parity,
-    SpinSextuple,
-    _beta_split,
-    _check,
-    _jj,
-    _sums,
-)
+from .triangles import Parity, SpinSextuple, _beta_split, _check, _jj, _sums
 
 
-def frontal_sign(s: SpinSextuple, k: int = 1) -> int:
-    """The global sign (-1)^(4 k^2 sum j*J) of a rescaled supersymmetric symbol.
-
-    Computed exactly from doubled spins: 4 sum j*J = sum (2j)(2J).  Even k
-    always gives +1; odd k reduces to the k = 1 sign.
-    """
-    if k % 2 == 0:
-        return 1
-    return -1 if _jj(s.doubled()) % 2 else 1
-
-
-def monomial(
-    parity: Parity,
-    t_index: int,
-    s: SpinSextuple,
-    bd: BetaDecomposition | None = None,
-) -> Fraction:
-    """The degree <= 1 weight multiplying t! in the supersymmetric sum.
+def _monomial4(parity: Parity, d, beta) -> tuple[int, int]:
+    """4 x (constant, linear) coefficients of the weight multiplying t! in the sum.
 
     alpha: 1
     beta:  -t (2 jstar + 1) + (pbar + 1/2)(pbar' + 1/2) - v v'
     gamma: -t + 2 sum j*J + (sum of all six spins) + 1/2
-    """
-    c0, c1 = monomial_coefficients(parity, s, bd)
-    return c0 + c1 * t_index
 
-
-def monomial_coefficients(
-    parity: Parity,
-    s: SpinSextuple,
-    bd: BetaDecomposition | None = None,
-) -> tuple[Fraction, Fraction]:
-    """(constant, linear) coefficients of the parity monomial in t."""
-    if parity is Parity.BETA and bd is None:
-        raise ValueError("beta monomial needs a BetaDecomposition")
-    beta = bd and [x.twice for x in (bd.v, bd.v_prime, bd.vbar, bd.vbar_prime,
-                                     bd.p, bd.pbar, bd.pbar_prime, bd.jstar)]
-    c0, c1 = _monomial4(parity, s.doubled(), beta)
-    return Fraction(c0, 4), Fraction(c1, 4)
-
-
-def _monomial4(parity: Parity, d, beta) -> tuple[int, int]:
-    """4 x (constant, linear) monomial coefficients, integers by construction.
-
-    d holds the doubled spins and beta the doubled split from _beta_split.
+    Integers by construction on the doubled spins d and, for beta, the
+    doubled split from _beta_split.
     """
     if parity is Parity.ALPHA:
         return 4, 0
@@ -119,10 +74,16 @@ def _alternating_sum(w: list[int], m: list[int], c0: int, c1: int) -> tuple[int,
     term down over the term ratio -(t+1) prod (m_j-t) / prod (t+1-w_i), so
     the loop multiplies plain ints only.  The head lo! / [prod (lo-w_i)!
     prod (m_j-lo)!] and the sign (-1)^lo enter once, at the end.
+
+    Raises ValueError when max(m) >= sys.maxsize: every factorial argument of
+    the kernel and of the evaluators' prefactors is at most max(m) + 1, and
+    math.factorial takes none past sys.maxsize.
     """
     lo, hi = max(w), min(m)
     if lo > hi:
         return 0, 1
+    if max(m) >= sys.maxsize:
+        raise ValueError("spins are too large for exact evaluation")
     w0, w1, w2, w3 = w
     m0, m1, m2 = m
     num, den = c0 + c1 * hi, 1

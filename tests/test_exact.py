@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sixj import ExactSymbol, ScaledFloat, exact, exact_to_scaled, factorial
-from sixj.exact import factorial_table, prime_exponent_in_factorial, primes_up_to, squarefree_split
+from sixj import ExactSymbol, ScaledFloat, exact
+from sixj.exact import exact_to_scaled, factorial, primes_up_to, squarefree_split
+from sixj.symbols import _alternating_sum, _prefactor_symbol
 from oracles import primes_by_trial_division
 
 
@@ -21,18 +22,22 @@ def test_factorial_basics():
 
 
 def test_factorial_trailing_zeros_matches_legendre():
+    # _prefactor_symbol's Legendre exponents of sqrt(50! 50!) give back 50!
+    value = _prefactor_symbol([50, 50], [], 1, 1)
+    assert value == ExactSymbol(Fraction(factorial(50)), Fraction(1))
     # power of 5 in 50! by Legendre's formula gives the trailing-zero count
-    zeros = prime_exponent_in_factorial(50, 5)
+    zeros = 50 // 5 + 50 // 25
     assert zeros == 12
-    text = str(factorial(50))
+    text = str(value.coeff)
     assert text.endswith("0" * zeros) and not text.endswith("0" * (zeros + 1))
 
 
 def test_factorial_table_consistent():
-    table = factorial_table(30)
-    assert table[0] == 1
+    # the kernel's single term at t = n is (-1)^n n! / (0!^4 0!^3): its head
+    table = [_alternating_sum([n] * 4, [n] * 3, 1, 0) for n in range(31)]
+    assert table[0] == (1, 1)
     for n in (1, 7, 19, 30):
-        assert table[n] == factorial(n)
+        assert table[n] == ((-1) ** n * factorial(n), 1)
 
 
 def test_squarefree_split():
@@ -91,9 +96,9 @@ class TestExactSymbol:
             rad = Fraction(1)
             for p, e in exps.items():
                 rad *= Fraction(p) ** e
-            assert ExactSymbol.from_prime_exponents(coeff, exps) == ExactSymbol.from_radicand(
-                coeff, rad
-            )
+            assert ExactSymbol.from_prime_exponents(
+                coeff.numerator, exps, coeff.denominator
+            ) == ExactSymbol(coeff, rad)
 
 
 class TestScaledFloat:
@@ -134,8 +139,8 @@ class TestScaledFloat:
         assert abs(big.abs_log2() - ref) < 1e-9 * ref
 
     def test_large_factorial_ratio_matches_lgamma(self):
-        value = ExactSymbol.from_radicand(
-            Fraction(factorial(4000), factorial(2500) * factorial(1200)), 1
+        value = ExactSymbol(
+            Fraction(factorial(4000), factorial(2500) * factorial(1200)), Fraction(1)
         )
         got = value.to_scaled().abs_ln()
         want = math.lgamma(4001) - math.lgamma(2501) - math.lgamma(1201)
@@ -189,7 +194,7 @@ def _squarefree(n: int) -> bool:
 @example(num=-7, den=2, exps={2: 0, 5: -3, 7: 4})
 def test_from_prime_exponents_is_canonical(num, den, exps):
     coeff = Fraction(num, den)
-    v = ExactSymbol.from_prime_exponents(coeff, exps)
+    v = ExactSymbol.from_prime_exponents(num, exps, den)
     again = ExactSymbol(v.coeff, v.radicand)
     assert (v.coeff, v.radicand) == (again.coeff, again.radicand)
     rn, rd = v.radicand.numerator, v.radicand.denominator
@@ -262,6 +267,8 @@ class TestSieveCache:
 @example(num=12, den=-18, exps={3: 3})
 def test_from_prime_exponents_int_ratio_matches_fraction(num, den, exps):
     by_ints = ExactSymbol.from_prime_exponents(num, exps, den)
-    by_fraction = ExactSymbol.from_prime_exponents(Fraction(num, den), exps)
+    # the canonicalising constructor, by trial division of the multiplied-out radicand
+    radicand = math.prod((Fraction(p) ** e for p, e in exps.items()), start=Fraction(1))
+    by_fraction = ExactSymbol(Fraction(num, den), radicand)
     assert type(by_ints.coeff) is Fraction and type(by_ints.radicand) is Fraction
     assert (by_ints.coeff, by_ints.radicand) == (by_fraction.coeff, by_fraction.radicand)

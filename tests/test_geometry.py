@@ -7,16 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sixj import (
-    HalfInt,
-    NonEuclideanError,
-    SpinSextuple,
-    cayley_menger,
-    discriminant_check,
-    saddle_coeff_a,
-    tet_from_spins,
-    triangle_sums,
-)
+from sixj import HalfInt, NonEuclideanError, SpinSextuple, discriminant_check, tet_from_spins
+from sixj.geometry import cayley_menger, saddle_coeff_a
+from sixj.triangles import triangle_sums
 from oracles import cayley_menger_det, random_admissible
 
 HALF = Fraction(1, 2)

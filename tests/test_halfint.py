@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from sixj import HalfInt, parse_halfint
+from sixj import HalfInt
+from sixj.halfint import parse_halfint
 
 
 @pytest.mark.parametrize(

@@ -10,8 +10,6 @@ from sixj import (
     ScanRecord,
     SpinSextuple,
     envelope_slope,
-    k_range,
-    local_maxima,
     read_csv,
     scan,
     sixj_exact,
@@ -19,6 +17,7 @@ from sixj import (
     write_csv,
     write_json,
 )
+from sixj.scan import k_range, local_maxima
 
 HALF = Fraction(1, 2)
 ALL_ONES = SpinSextuple.of(1, 1, 1, 1, 1, 1)
@@ -176,9 +175,73 @@ class TestSerialisation:
             read_csv(io.StringIO("k,parity\n1,su2\n"))
 
     def test_parity_at_k_matches_classification(self):
-        from sixj import rescale
+        from sixj.triangles import rescale
 
         records = scan(ALL_HALVES, "super", [1, 2, 3, 4, 5, 6])
         for rec in records:
             _, parity = rescale(ALL_HALVES, rec.k)
             assert rec.parity == parity.value
+
+
+def peaked_csv(ks, exp2s=None) -> str:
+    """A scan CSV whose |exact| alternates low/high, so every other row is a local maximum."""
+    exp2s = exp2s or [0] * len(ks)
+    rows = [",".join(("k", "parity", "exact_mantissa", "exact_exp2", "exact_float",
+                      "asym", "abs_err", "amplitude", "angle"))]
+    for i, (k, e) in enumerate(zip(ks, exp2s)):
+        m = 1.5 if i % 2 else 1.0
+        rows.append(f"{k},su2,{m!r},{e},{m!r},0.0,0.0,0.0,0.0")
+    return "\n".join(rows) + "\n"
+
+
+class TestMalformedCsv:
+    """read_csv turns a CSV that no scan writes into a ValueError naming the line."""
+
+    def lines(self):
+        return csv_text(synthetic_records(-1.5, ks=range(5, 12))).splitlines()
+
+    def test_short_row(self):
+        lines = self.lines()
+        lines[3] = lines[3].rsplit(",", 1)[0]
+        with pytest.raises(ValueError, match="line 4: .* cells, the header has"):
+            read_csv(io.StringIO("\n".join(lines)))
+
+    def test_long_row(self):
+        lines = self.lines()
+        lines[3] += ",0.5"
+        with pytest.raises(ValueError, match="line 4: .* cells, the header has"):
+            read_csv(io.StringIO("\n".join(lines)))
+
+    def test_oversized_cell(self):
+        lines = self.lines()
+        lines[3] = lines[3].replace("su2", "x" * 131073)
+        with pytest.raises(ValueError, match="line 4"):
+            read_csv(io.StringIO("\n".join(lines)))
+
+    @pytest.mark.parametrize("ks", [[5, 5, 6], [5, 7, 6], [0, 1, 2], [-3, 1, 2]])
+    def test_k_not_positive_and_ascending(self, ks):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            read_csv(io.StringIO(peaked_csv(ks)))
+
+    def test_repeated_k_never_reaches_the_fit(self):
+        # seven rows at one k hold three maxima at one log k
+        with pytest.raises(ValueError, match="line 3: k values"):
+            envelope_slope(read_csv(io.StringIO(peaked_csv([5] * 7))))
+
+    @pytest.mark.parametrize("e", [2**53 + 1, -(2**53) - 1, 10**400])
+    def test_exp2_out_of_range(self, e):
+        with pytest.raises(ValueError, match="exact_exp2"):
+            read_csv(io.StringIO(peaked_csv([1, 2, 3], [0, e, 0])))
+
+    def test_exp2_at_the_bound_is_read(self):
+        records = read_csv(io.StringIO(peaked_csv([1, 2, 3], [-(2**53), 2**53, 0])))
+        assert [r.exact.exp2 for r in records] == [-(2**53), 2**53, 0]
+
+
+class TestEnvelopeSlopeBoundary:
+    def test_maxima_at_one_float_log_k(self):
+        # distinct k whose logs round to one float: no slope can be fitted
+        ks = [10**20 + i for i in range(7)]
+        assert len({math.log(k) for k in ks}) == 1
+        with pytest.raises(InsufficientExtremaError, match="distinct log k"):
+            envelope_slope(read_csv(io.StringIO(peaked_csv(ks))))

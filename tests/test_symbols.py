@@ -16,23 +16,19 @@ from sixj import (
     ShiftViolation,
     SpinSextuple,
     TriangleViolation,
-    beta_decompose,
-    classify_parity,
-    frontal_sign,
-    is_admissible,
-    monomial,
-    monomial_coefficients,
     sixj_exact,
     sixj_super_exact,
-    triangle_sums,
 )
 from sixj import symbols
 from sixj.symbols import _alternating_sum, _prefactor_symbol, _super_prefactor_args
+from sixj.triangles import beta_decompose, classify_parity, is_admissible, triangle_sums
+from cores import frontal_sign, monomial4
 from oracles import (
     frontal_sign_closed_form,
     racah_sixj,
     random_admissible,
     sixj_zero_spin,
+    super_monomial,
     super_sixj_alpha_direct,
     super_sixj_direct,
 )
@@ -40,15 +36,20 @@ from oracles import (
 HALF = Fraction(1, 2)
 
 
+def checked_monomial4(s):
+    """cores.monomial4(s), after asserting that it is 4 x the oracle's coefficients."""
+    parity, c4 = monomial4(s)
+    assert c4 == tuple(4 * c for c in super_monomial([x.as_fraction() for x in s.spins])), s
+    return parity, c4
+
+
 class TestStandardSixj:
     def test_regular_unit(self):
-        assert sixj_exact(SpinSextuple.of(1, 1, 1, 1, 1, 1)) == ExactSymbol.from_radicand(
-            Fraction(1, 6), 1
-        )
+        assert sixj_exact(SpinSextuple.of(1, 1, 1, 1, 1, 1)) == ExactSymbol(Fraction(1, 6), Fraction(1))
 
     def test_zero_spin_closed_form(self):
         val = sixj_exact(SpinSextuple.of(1, 1, 1, 0, 1, 1))
-        assert val == ExactSymbol.from_radicand(Fraction(-1, 3), 1)
+        assert val == ExactSymbol(Fraction(-1, 3), Fraction(1))
         for a, b, c in [(1, 2, 3), (2, 2, 2), (HALF, HALF, 1), (Fraction(3, 2), 2, HALF)]:
             if not is_admissible(SpinSextuple.of(a, b, c, 0, c, b), "su2"):
                 continue
@@ -72,11 +73,11 @@ class TestStandardSixj:
 class TestSuperSixj:
     def test_all_halves(self):
         s = SpinSextuple.of(*([HALF] * 6))
-        assert sixj_super_exact(s) == ExactSymbol.from_radicand(Fraction(-3, 2), 1)
+        assert sixj_super_exact(s) == ExactSymbol(Fraction(-3, 2), Fraction(1))
 
     def test_all_ones_alpha(self):
         s = SpinSextuple.of(1, 1, 1, 1, 1, 1)
-        assert sixj_super_exact(s) == ExactSymbol.from_radicand(Fraction(1, 2), 1)
+        assert sixj_super_exact(s) == ExactSymbol(Fraction(1, 2), Fraction(1))
         assert sixj_super_exact(s) == super_sixj_direct([1, 1, 1, 1, 1, 1])
 
     def test_matches_direct_oracle_on_randoms(self):
@@ -143,36 +144,39 @@ class TestFrontalSign:
 class TestMonomial:
     def test_alpha_is_one(self):
         s = SpinSextuple.of(1, 1, 1, 1, 1, 1)
+        parity, (c0, c1) = checked_monomial4(s)
+        assert parity is Parity.ALPHA
         for t_index in range(5):
-            assert monomial(Parity.ALPHA, t_index, s) == 1
+            assert c0 + c1 * t_index == 4
 
     def test_gamma_all_halves_at_zero(self):
         s = SpinSextuple.of(*([HALF] * 6))
-        assert monomial(Parity.GAMMA, 0, s) == 5
+        parity, (c0, _) = checked_monomial4(s)
+        assert parity is Parity.GAMMA and c0 == 4 * 5
 
     def test_beta_constant_positive_integer(self):
         rng = random.Random(47)
         for s in random_admissible(rng, parity="beta", n=200):
-            bd = beta_decompose(s, triangle_sums(s))
-            value = monomial(Parity.BETA, 0, s, bd)
-            assert value.denominator == 1 and value > 0
+            parity, (c0, _) = checked_monomial4(s)
+            assert parity is Parity.BETA
+            assert c0 % 4 == 0 and c0 > 0
 
     def test_gamma_constant_positive_integer(self):
         rng = random.Random(48)
         for s in random_admissible(rng, parity="gamma", n=200):
-            value = monomial(Parity.GAMMA, 0, s)
-            assert value.denominator == 1 and value > 0
+            parity, (c0, _) = checked_monomial4(s)
+            assert parity is Parity.GAMMA
+            assert c0 % 4 == 0 and c0 > 0
 
     @pytest.mark.parametrize("parity", ["beta", "gamma"])
     def test_rearranged_form_identity(self, parity):
         # the shifted regrouping c1*(t+1) + (c0 - c1) must agree at small t
         rng = random.Random(49)
         for s in random_admissible(rng, parity=parity, n=150):
-            p = classify_parity(triangle_sums(s))
-            bd = beta_decompose(s, triangle_sums(s)) if parity == "beta" else None
-            c0, c1 = monomial_coefficients(p, s, bd)
+            p, (c0, c1) = checked_monomial4(s)
+            assert p.value == parity
             for t_index in range(4):
-                assert monomial(p, t_index, s, bd) == c1 * (t_index + 1) + (c0 - c1)
+                assert c0 + c1 * t_index == c1 * (t_index + 1) + (c0 - c1)
 
 
 class TestPrefactors:

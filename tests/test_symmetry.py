@@ -17,7 +17,8 @@ import itertools
 
 import pytest
 
-from sixj import HalfInt, SpinSextuple, is_admissible, sixj_exact, sixj_super_exact
+from sixj import HalfInt, SpinSextuple, sixj_exact, sixj_super_exact
+from sixj.triangles import is_admissible
 
 COLUMN_FLIPS = ((), (0, 1), (0, 2), (1, 2))
 

@@ -12,8 +12,12 @@ from sixj import (
     Parity,
     ParityViolation,
     SpinSextuple,
-    TriangleData,
     TriangleViolation,
+)
+from sixj.triangles import (
+    _FACES,
+    TriangleData,
+    _sums,
     beta_decompose,
     check_admissible,
     classify_parity,
@@ -21,7 +25,6 @@ from sixj import (
     rescale,
     triangle_sums,
 )
-from sixj.triangles import _FACES, _sums
 from oracles import random_admissible
 
 H = HalfInt.of
@@ -57,7 +60,7 @@ class TestTriangleSums:
         for _ in range(500):
             s = SpinSextuple(*(HalfInt(rng.randint(0, 14)) for _ in range(6)))
             t = triangle_sums(s)
-            assert t.p_sum == t.v_sum
+            assert sum(t.p, HalfInt(0)) == sum(t.v, HalfInt(0))
 
 
 class TestAdmissibility:
@@ -91,7 +94,7 @@ class TestAdmissibility:
         rng = random.Random(32)
         for s in random_admissible(rng, n=300):
             t = triangle_sums(s)
-            assert t.integer_v_count() in (0, 2, 4)
+            assert sum(x.is_integer for x in t.v) in (0, 2, 4)
             classify_parity(t)  # total on the admissible domain
 
 
@@ -234,7 +237,7 @@ class TestConstructionsAgree:
             SpinSextuple(*map(HalfInt, base)).scaled(k),
         ]
         spins = tuple(map(HalfInt, d))
-        names = SpinSextuple.field_names()
+        names = SpinSextuple.__match_args__
         text = "{" + " ".join(map(str, spins[:3])) + "; " + " ".join(map(str, spins[3:])) + "}"
         fields = ", ".join(f"{n}={x!r}" for n, x in zip(names, spins))
         for s in built:
@@ -248,7 +251,7 @@ class TestConstructionsAgree:
         assert len({*built}) == 1
         assert SpinSextuple(*map(HalfInt, (d[0] + 1, *d[1:]))) != built[0]
 
-    @pytest.mark.parametrize("name", [*SpinSextuple.field_names(), "_d", "spins", "other"])
+    @pytest.mark.parametrize("name", [*SpinSextuple.__match_args__, "_d", "spins", "other"])
     def test_assignment_raises(self, name):
         s = SpinSextuple.of(1, 1, 1, 1, 1, 1)
         with pytest.raises(FrozenInstanceError):
