@@ -32,25 +32,25 @@ psi = atan2(b, a).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DegenerateFactorError, KParityError, UndefinedShiftError
 from .geometry import TetGeometry, _saddle, tet_from_spins
 # bound here as well: perfbench/tracer.py resolves the saddle coefficients in this module
 from .geometry import saddle_coeff_a, saddle_coeff_b, saddle_coeff_c  # noqa: F401
+from .record import Record
 from .triangles import Parity, SpinSextuple, _beta_split, _check, _integer_count, _jj, _parity, _sums
 
 STANDARD = "standard"
 
 
-@dataclass(frozen=True, slots=True)
-class AsymptoticResult:
+class AsymptoticResult(Record):
     """Envelope amplitude, full cosine argument and their product.
 
     ``value == amplitude * cos(angle)`` as computed; global signs are folded
     into the angle as a pi offset so the amplitude stays non-negative.
     """
 
+    __slots__ = ("amplitude", "angle", "value", "parity_used")
     amplitude: float
     angle: float
     value: float

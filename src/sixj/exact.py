@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .record import Record
 
 
 def factorial(n: int) -> int:
@@ -75,8 +76,7 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return s, f
 
 
-@dataclass(frozen=True, slots=True)
-class ExactSymbol:
+class ExactSymbol(Record):
     """Exact value coeff * sqrt(radicand), always stored in canonical form.
 
     Canonical means: radicand >= 0 with square-free numerator and square-free
@@ -85,6 +85,7 @@ class ExactSymbol:
     is componentwise equality of (coeff, radicand).
     """
 
+    __slots__ = ("coeff", "radicand")
     coeff: Fraction
     radicand: Fraction
 
@@ -164,14 +165,14 @@ class ExactSymbol:
         return f"{self.coeff} * sqrt({self.radicand})"
 
 
-@dataclass(frozen=True, slots=True)
-class ScaledFloat:
+class ScaledFloat(Record):
     """Sign-carrying mantissa in [1,2) (or 0.0) times 2**exp2.
 
     Represents magnitudes with |log2| far beyond the native float range while
     staying losslessly convertible to a (mantissa, exp2) CSV pair.
     """
 
+    __slots__ = ("mantissa", "exp2")
     mantissa: float
     exp2: int
 

@@ -15,16 +15,15 @@ plane, apex solved from the three remaining lengths).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonEuclideanError
 from .halfint import _half_text
+from .record import Record
 from .triangles import _FACES, SpinSextuple, TriangleData, _jj, _sums
 
 
-@dataclass(frozen=True, slots=True)
-class TetGeometry:
+class TetGeometry(Record):
     """Embedded tetrahedron: edge lengths, volume, exterior dihedral angles.
 
     ``lengths`` and ``theta_ext`` are ordered (j1, j2, j3, J1, J2, J3); the
@@ -32,6 +31,7 @@ class TetGeometry:
     is the exact determinant, equal to 288 * volume**2.
     """
 
+    __slots__ = ("lengths", "volume", "theta_ext", "cayley_menger")
     lengths: tuple[float, float, float, float, float, float]
     volume: float
     theta_ext: tuple[float, float, float, float, float, float]

@@ -7,14 +7,17 @@ integer arithmetic, so parity classification never touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from fractions import Fraction
 
+from .record import Record
 
-@dataclass(frozen=True, slots=True, order=True)
-class HalfInt:
-    """A half-integer n/2 represented by its doubled value ``twice``."""
 
+@functools.total_ordering
+class HalfInt(Record):
+    """A half-integer n/2 represented by its doubled value ``twice``; ordered by it."""
+
+    __slots__ = ("twice",)
     twice: int
 
     def __post_init__(self):
@@ -83,6 +86,9 @@ class HalfInt:
 
     def __bool__(self) -> bool:
         return self.twice != 0
+
+    def __lt__(self, other):
+        return self.twice < other.twice if other.__class__ is self.__class__ else NotImplemented
 
 
 def parse_halfint(text: str) -> HalfInt:

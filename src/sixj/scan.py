@@ -10,15 +10,14 @@ strict local maxima of |exact| on the scanned grid.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass
 
 from .asymptotics import asym_for_scaled, asym_standard
 from .errors import InsufficientExtremaError, SixjError
 from .exact import ScaledFloat
 from .geometry import tet_from_spins
-from .symbols import sixj_exact, sixj_super_exact
+from .record import Record
+from .symbols import _check_cost, sixj_exact, sixj_super_exact
 from .triangles import SpinSextuple, _check, _sums
 
 CSV_COLUMNS = (
@@ -32,12 +31,13 @@ CSV_COLUMNS = (
     "amplitude",
     "angle",
 )
+MAX_SCAN_POINTS = 10**5  # a row takes 0.4 ms or more, so this many take 40 s or more
 
 
-@dataclass(frozen=True, slots=True)
-class ScanRecord:
+class ScanRecord(Record):
     """One row of a k-scan."""
 
+    __slots__ = ("k", "parity", "exact", "asym", "abs_err", "amplitude", "angle")
     k: int
     parity: str
     exact: ScaledFloat
@@ -60,10 +60,10 @@ class ScanRecord:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class SlopeFit:
+class SlopeFit(Record):
     """Least-squares fit of log|envelope| against log k."""
 
+    __slots__ = ("slope", "intercept", "r_squared", "n_points")
     slope: float
     intercept: float
     r_squared: float
@@ -91,6 +91,9 @@ def scan(s: SpinSextuple, kind: str, k_list: list[int]) -> list[ScanRecord]:
         _check(*_sums(s.scaled(ks[0]).doubled()), "su2" if kind == "su2" else "osp12")
     except SixjError as exc:
         raise type(exc)(f"k={ks[0]}: {exc}") from exc
+    v, p = _sums(s.scaled(ks[-1]).doubled())  # the kernel's cost bound, at the largest k
+    w, m = [(x + 1) // 2 for x in v], [(x + 1) // 2 for x in p]
+    _check_cost(min(m) - max(w) + 1, max(m) + 1)
     geo = tet_from_spins(s)
     records = []
     for k in ks:
@@ -106,24 +109,17 @@ def scan(s: SpinSextuple, kind: str, k_list: list[int]) -> list[ScanRecord]:
                 parity = res.parity_used
         except SixjError as exc:
             raise type(exc)(f"k={k}: {exc}") from exc
-        records.append(
-            ScanRecord(
-                k=k,
-                parity=parity,
-                exact=exact,
-                asym=res.value,
-                abs_err=abs(exact.to_float() - res.value),
-                amplitude=res.amplitude,
-                angle=res.angle,
-            )
-        )
+        records.append(ScanRecord(k, parity, exact, res.value, abs(exact.to_float() - res.value),
+                                  res.amplitude, res.angle))
     return records
 
 
 def k_range(k_from: int, k_to: int, k_step: int = 1) -> list[int]:
-    """Ascending inclusive k grid."""
+    """Ascending inclusive k grid of at most MAX_SCAN_POINTS values."""
     if k_step < 1:
         raise ValueError("k step must be a positive integer")
+    if (k_to - k_from) // k_step >= MAX_SCAN_POINTS:
+        raise ValueError(f"a scan takes at most {MAX_SCAN_POINTS} k values")
     return list(range(k_from, k_to + 1, k_step))
 
 
@@ -220,6 +216,7 @@ def _record(header: list[str], cells: list[str], last_k: int) -> ScanRecord:
 
 def write_json(records: list[ScanRecord], fh) -> None:
     """JSON mirror of the CSV: an array of objects with identical field names."""
+    import json  # here, its only user, so that importing the package does not load it
     json.dump([r.row() for r in records], fh, indent=2)
     fh.write("\n")
 

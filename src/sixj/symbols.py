@@ -25,7 +25,6 @@ and (v_i + 1)//2.  No HalfInt or Fraction is built before the sum.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 
 from .errors import EmptySumWarning, ShiftViolation
@@ -66,6 +65,19 @@ def _super_prefactor_args(v, p) -> tuple[list[int], list[int]]:
     return [(pj - vi) // 2 for pj in p for vi in v], [(vi + 1) // 2 for vi in v]
 
 
+# Estimated cost (terms + 3000) n log2 n, n - 1 the largest factorial argument:
+# the kernel's ints reach about n log2 n bits, and the factorials and prime
+# exponents weigh about 3000 terms.  At the bound, all-ones SU(2) at k = 51200
+# and {N N 0; N N 0} at N = 757000 took 56 s and 59 s (one core, shared x86 VM).
+MAX_EXACT_COST = 2 * 10**11
+
+
+def _check_cost(terms: int, n: int) -> None:
+    """ValueError when the estimated cost of a kernel call passes MAX_EXACT_COST."""
+    if (terms + 3000) * n * n.bit_length() > MAX_EXACT_COST:
+        raise ValueError("spins are too large for exact evaluation")
+
+
 def _alternating_sum(w: list[int], m: list[int], c0: int, c1: int) -> tuple[int, int]:
     """Unreduced (num, den) of sum_t (-1)^t t! (c0 + c1 t) / [prod (t-w_i)! prod (m_j-t)!].
 
@@ -73,17 +85,13 @@ def _alternating_sum(w: list[int], m: list[int], c0: int, c1: int) -> tuple[int,
     and three m; an empty range gives (0, 1).  The sum is nested from the top
     term down over the term ratio -(t+1) prod (m_j-t) / prod (t+1-w_i), so
     the loop multiplies plain ints only.  The head lo! / [prod (lo-w_i)!
-    prod (m_j-lo)!] and the sign (-1)^lo enter once, at the end.
-
-    Raises ValueError when max(m) >= sys.maxsize: every factorial argument of
-    the kernel and of the evaluators' prefactors is at most max(m) + 1, and
-    math.factorial takes none past sys.maxsize.
+    prod (m_j-lo)!] and the sign (-1)^lo enter once, at the end.  Raises
+    ValueError, before any work, past the cost bound of _check_cost.
     """
     lo, hi = max(w), min(m)
     if lo > hi:
         return 0, 1
-    if max(m) >= sys.maxsize:
-        raise ValueError("spins are too large for exact evaluation")
+    _check_cost(hi - lo + 1, max(m) + 1)
     w0, w1, w2, w3 = w
     m0, m1, m2 = m
     num, den = c0 + c1 * hi, 1

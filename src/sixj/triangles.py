@@ -29,13 +29,11 @@ and the parity of k*s in that form.
 from __future__ import annotations
 
 import enum
-from dataclasses import FrozenInstanceError, dataclass
-from typing import Literal
 
 from .errors import IntegralityViolation, ParityViolation, TriangleViolation
 from .halfint import HalfInt, _half_text, _parse_twice, _twice_of
+from .record import Record
 
-Algebra = Literal["su2", "osp12"]
 _FIELD_NAMES = ("j1", "j2", "j3", "J1", "J2", "J3")
 
 
@@ -53,11 +51,11 @@ def _view(i: int) -> property:
     return property(lambda self: HalfInt(self._d[i]))
 
 
-class SpinSextuple:
+class SpinSextuple(Record):
     """The six spins (j1, j2, j3, J1, J2, J3), each a non-negative half-integer.
 
-    Stored once as the doubled ints; the ``HalfInt`` fields are views.  Frozen,
-    compared and hashed by value, like a frozen dataclass.
+    Stored once as the doubled ints; the ``HalfInt`` fields are views, which
+    ``repr``, pickling and pattern matching read.
     """
 
     __slots__ = ("_d",)
@@ -104,25 +102,6 @@ class SpinSextuple:
             raise TypeError(f"scale factor must be an int, got {type(k).__name__}")
         return self._of_doubled(tuple(x * k for x in self._d))
 
-    def __eq__(self, other):
-        return self._d == other._d if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._d)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, self.spins
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}=HalfInt({x})" for n, x in zip(_FIELD_NAMES, self._d))
-        return f"SpinSextuple({fields})"
-
     def __str__(self) -> str:
         j = list(map(_half_text, self._d))
         return f"{{{' '.join(j[:3])}; {' '.join(j[3:])}}}"
@@ -136,10 +115,10 @@ def _store(s: SpinSextuple, d: tuple[int, ...]) -> None:
     object.__setattr__(s, "_d", d)
 
 
-@dataclass(frozen=True, slots=True)
-class TriangleData:
+class TriangleData(Record):
     """The four triangle sums v and three quadrangle sums p of a sextuple."""
 
+    __slots__ = ("v", "p")
     v: tuple[HalfInt, HalfInt, HalfInt, HalfInt]
     p: tuple[HalfInt, HalfInt, HalfInt]
 
@@ -186,7 +165,7 @@ def _parity(n_int: int) -> Parity:
     return parity
 
 
-def _check(v, p, algebra: Algebra) -> Parity:
+def _check(v, p, algebra: str) -> Parity:
     """check_admissible on the doubled sums (v, p) of spins; returns the parity.
 
     Sums of spins always recover them, so the recovered-spin check is left out.
@@ -213,7 +192,7 @@ def triangle_sums(s: SpinSextuple) -> TriangleData:
     return TriangleData(tuple(map(HalfInt, v)), tuple(map(HalfInt, p)))
 
 
-def check_admissible(t: TriangleData, algebra: Algebra) -> None:
+def check_admissible(t: TriangleData, algebra: str) -> None:
     """Raise unless the triangle data is admissible for the given algebra.
 
     Checks, in order: the twelve triangular inequalities p_j - v_i >= 0, the
@@ -229,7 +208,7 @@ def check_admissible(t: TriangleData, algebra: Algebra) -> None:
             raise IntegralityViolation(f"recovered spin {name} is negative")
 
 
-def is_admissible(s: SpinSextuple, algebra: Algebra) -> bool:
+def is_admissible(s: SpinSextuple, algebra: str) -> bool:
     """Non-throwing admissibility test for a sextuple."""
     try:
         _check(*_sums(s.doubled()), algebra)
@@ -243,8 +222,7 @@ def classify_parity(t: TriangleData) -> Parity:
     return _parity(_integer_count(t.doubled()[0]))
 
 
-@dataclass(frozen=True, slots=True)
-class BetaDecomposition:
+class BetaDecomposition(Record):
     """Beta-parity bookkeeping: integer/half-integer split of the v and p sums.
 
     ``jstar`` is the spin at the vertex shared by the two half-integer
@@ -252,6 +230,8 @@ class BetaDecomposition:
     symbol; ``jstar_slot`` locates jstar in (j1, j2, j3, J1, J2, J3) order.
     """
 
+    __slots__ = ("v", "v_prime", "vbar", "vbar_prime", "p", "pbar", "pbar_prime",
+                 "jstar", "jstar_companion", "jstar_slot")
     v: HalfInt
     v_prime: HalfInt
     vbar: HalfInt

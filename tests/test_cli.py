@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 from fractions import Fraction
@@ -294,6 +295,37 @@ class TestInputBoundary:
         assert code == 2
         assert out == ""
         assert err == "error: spins are too large for exact evaluation\n"
+
+    @pytest.mark.parametrize("kind, spins", [
+        ("su2", ("101",) * 6),
+        ("super", ("101/2",) * 6),
+        ("su2", ("100000", "100000", "0", "100000", "100000", "0")),
+    ])
+    def test_eval_over_the_cost_bound_is_usage_error(self, capsys, monkeypatch, kind, spins):
+        monkeypatch.setattr("sixj.symbols.MAX_EXACT_COST", 10**6)
+        code, out, err = run(capsys, "eval", "--kind", kind, *spins)
+        assert (code, out, err) == (2, "", "error: spins are too large for exact evaluation\n")
+
+    @pytest.mark.parametrize("kind, spins", [("su2", ("1",) * 6), ("super", HALVES)])
+    def test_scan_checks_the_largest_k_before_any_evaluation(self, capsys, monkeypatch, kind, spins):
+        monkeypatch.setattr("sixj.symbols.MAX_EXACT_COST", 10**6)
+        evaluated = mock.Mock(side_effect=AssertionError("evaluated"))
+        scan_module = importlib.import_module("sixj.scan")  # sixj.scan is the function
+        monkeypatch.setattr(scan_module, "sixj_exact", evaluated)
+        monkeypatch.setattr(scan_module, "sixj_super_exact", evaluated)
+        code, out, err = run(capsys, "scan", "--kind", kind, "--k-from", "1", "--k-to", "201", *spins)
+        assert (code, out, err) == (2, "", "error: spins are too large for exact evaluation\n")
+        assert not evaluated.called
+
+    @pytest.mark.parametrize("k_range", [
+        ("--k-from", "1", "--k-to", str(10**30)),
+        ("--k-from", "1", "--k-to", "100001"),
+        ("--k-from", "5", "--k-to", "200005", "--k-step", "2"),
+    ])
+    def test_scan_k_range_over_the_point_bound_is_usage_error(self, capsys, k_range):
+        # 10**30 values, and 100001 values: refused before the k list is built
+        code, out, err = run(capsys, "scan", *k_range, *("1",) * 6)
+        assert (code, out, err) == (2, "", "error: a scan takes at most 100000 k values\n")
 
     @pytest.mark.parametrize("command", [("geometry",), ("asym", "--kind", "super", "--k", "3")])
     def test_large_spins_still_print(self, capsys, command):

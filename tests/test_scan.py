@@ -1,3 +1,4 @@
+import importlib
 import io
 import math
 from fractions import Fraction
@@ -17,7 +18,9 @@ from sixj import (
     write_csv,
     write_json,
 )
-from sixj.scan import k_range, local_maxima
+from sixj.scan import MAX_SCAN_POINTS, k_range, local_maxima
+
+SCAN_MODULE = importlib.import_module("sixj.scan")  # the package binds sixj.scan to the function
 
 HALF = Fraction(1, 2)
 ALL_ONES = SpinSextuple.of(1, 1, 1, 1, 1, 1)
@@ -87,6 +90,28 @@ class TestScan:
         assert k_range(1, 9, 2) == [1, 3, 5, 7, 9]
         with pytest.raises(ValueError):
             k_range(1, 9, 0)
+
+    def test_k_range_point_bound(self, monkeypatch):
+        assert k_range(7, 7 + 2 * (MAX_SCAN_POINTS - 1), 2)[-1] == 7 + 2 * (MAX_SCAN_POINTS - 1)
+        assert len(k_range(1, MAX_SCAN_POINTS)) == MAX_SCAN_POINTS
+        for args in [(1, MAX_SCAN_POINTS + 1), (7, 7 + 2 * MAX_SCAN_POINTS, 2), (1, 10**40, 10**20)]:
+            with pytest.raises(ValueError, match="at most 100000 k values"):
+                k_range(*args)
+        monkeypatch.setattr(SCAN_MODULE, "MAX_SCAN_POINTS", 3)
+        assert k_range(1, 3) == [1, 2, 3] and k_range(4, 1) == []
+        with pytest.raises(ValueError):
+            k_range(1, 4)
+
+    def test_largest_k_checked_before_any_evaluation(self, monkeypatch):
+        def evaluated(s):
+            raise AssertionError("evaluated")
+
+        monkeypatch.setattr(SCAN_MODULE, "sixj_exact", evaluated)
+        with pytest.raises(ValueError, match="^spins are too large for exact evaluation$"):
+            scan(ALL_ONES, "su2", [1, 2, 10**6])
+        monkeypatch.setattr("sixj.symbols.MAX_EXACT_COST", 10**6)
+        with pytest.raises(ValueError, match="^spins are too large for exact evaluation$"):
+            scan(ALL_ONES, "su2", [1, 2, 101])
 
 
 class TestEnvelopeSlope:

@@ -20,8 +20,8 @@ from sixj import (
     sixj_super_exact,
 )
 from sixj import symbols
-from sixj.symbols import _alternating_sum, _prefactor_symbol, _super_prefactor_args
-from sixj.triangles import beta_decompose, classify_parity, is_admissible, triangle_sums
+from sixj.symbols import _alternating_sum, _check_cost, _prefactor_symbol, _super_prefactor_args
+from sixj.triangles import _sums, beta_decompose, classify_parity, is_admissible, triangle_sums
 from cores import frontal_sign, monomial4
 from oracles import (
     frontal_sign_closed_form,
@@ -353,3 +353,48 @@ class TestSympyOracle:
         square = value.squared()
         assert ref**2 == sympy.Rational(square.numerator, square.denominator)
         assert sympy.sign(ref) == value.sign
+
+
+def _cost_args(s: SpinSextuple) -> tuple[int, int]:
+    """(terms, largest factorial argument + 1) of the kernel on s, whose w and m are
+    floor(v + 1/2) and floor(p + 1/2) for both evaluators."""
+    v, p = _sums(s.doubled())
+    w, m = [(x + 1) // 2 for x in v], [(x + 1) // 2 for x in p]
+    return min(m) - max(w) + 1, max(m) + 1
+
+
+class TestCostBound:
+    """The exact evaluation's cost bound, checked by calculation: no test here evaluates near it."""
+
+    @pytest.mark.parametrize("spins, accepted, refused", [
+        # the two shapes the bound was sized on: many terms, and one term with large factorials
+        ((1, 1, 1, 1, 1, 1), 51200, 51300),
+        ((1, 1, 0, 1, 1, 0), 757000, 758000),
+        ((HALF,) * 6, 102400, 102600),  # all halves at 2k: the spins of all ones at k
+    ])
+    def test_sized_on_the_calibration_shapes(self, spins, accepted, refused):
+        base = SpinSextuple.of(*spins)
+        _check_cost(*_cost_args(base.scaled(accepted)))
+        with pytest.raises(ValueError, match="^spins are too large for exact evaluation$"):
+            _check_cost(*_cost_args(base.scaled(refused)))
+
+    @pytest.mark.parametrize("evaluate, spins", [
+        (sixj_exact, (101,) * 6),
+        (sixj_super_exact, (Fraction(101, 2),) * 6),
+        (sixj_exact, (10**12, 10**12, 0, 10**12, 10**12, 0)),
+    ])
+    def test_evaluators_refuse_before_any_work(self, monkeypatch, evaluate, spins):
+        monkeypatch.setattr(symbols, "MAX_EXACT_COST", 10**6)
+        monkeypatch.setattr(symbols, "_prefactor_symbol", None)  # a call would raise TypeError
+        with pytest.raises(ValueError, match="^spins are too large for exact evaluation$"):
+            evaluate(SpinSextuple.of(*spins))
+
+    def test_cost_at_the_bound_is_accepted(self, monkeypatch):
+        s = SpinSextuple.of(1, 1, 1, 1, 1, 1).scaled(11)
+        terms, n = _cost_args(s)
+        assert (terms, n) == (12, 45)
+        monkeypatch.setattr(symbols, "MAX_EXACT_COST", (terms + 3000) * n * n.bit_length())
+        assert sixj_exact(s) == racah_sixj([x.as_fraction() for x in s.spins])
+        monkeypatch.setattr(symbols, "MAX_EXACT_COST", symbols.MAX_EXACT_COST - 1)
+        with pytest.raises(ValueError):
+            sixj_exact(s)
