@@ -7,16 +7,17 @@ comparison.  ``ScaledFloat`` is a sign/mantissa/exponent triple that survives
 conversions whose intermediate numerators and denominators overflow any
 native float by thousands of orders of magnitude.
 
-``ExactSymbol.from_prime_exponents`` reduces the evaluators' int ratio once;
-its ``den`` is required, because every caller holds an unreduced int ratio.
-``primes_up_to`` serves every call from one module-level sieve that grows on
-demand and never covers more than twice the largest n requested.
+``factorial_symbol`` builds a value from the prime-exponent vectors of its
+factorials, summed from a table of packed n! vectors up to ``_FACT_CAP`` and
+by Legendre over ``primes_up_to`` past it; ``from_prime_exponents``
+assembles it.  The sieve and the table grow on demand, replaced as a whole.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import sys
 from fractions import Fraction
 
 from .record import Record
@@ -49,6 +50,74 @@ def primes_up_to(n: int) -> list[int]:
         primes = [i for i, ok in enumerate(sieve) if ok]
         _sieve = (limit, primes)
     return primes[:bisect.bisect_right(primes, n)]
+
+
+# A row packs the exponent of the i-th prime in n! into a 16-bit field at bit
+# 16 i.  As v_p(n!) <= n - 1 <= 2047 up to _FACT_CAP, 15 rows minus 15, plus
+# 2**15 in every field, keep each field in (0, 2**16): no carry or borrow
+# crosses a field.  _facts is (rows n! for n < len, the primes below len); it
+# grows like _sieve, to at most _FACT_CAP + 1 rows (about 0.8 MB).
+_FACT_CAP = 2048
+_facts: tuple[list[int], list[int]] = ([0], [])
+
+
+def _legendre(primes: list[int], nums: list[int], dens: list[int]) -> list[int]:
+    """Exponent of each prime in prod nums! / prod dens!: Legendre's sum of n // p**i."""
+    exps = []
+    for p in primes:
+        e = 0
+        for n in nums:
+            while n >= p:
+                n //= p
+                e += n
+        for n in dens:
+            while n >= p:
+                n //= p
+                e -= n
+        exps.append(e)
+    return exps
+
+
+def factorial_symbol(num: int, rad_nums: list[int], rad_dens: list[int],
+                     coef_nums: list[int], coef_dens: list[int], den: int) -> "ExactSymbol":
+    """(num/den) * prod coef_nums! / prod coef_dens! * sqrt(prod rad_nums! / prod rad_dens!).
+
+    Arguments are non-negative ints, at most 15 per list.  Up to _FACT_CAP
+    the two exponent vectors are sums of table rows, packed side by side and
+    read back as signed 16-bit fields from one to_bytes; past it, Legendre.
+    """
+    global _facts
+    rows, primes = _facts
+    row = rows.__getitem__
+    try:
+        rad = sum(map(row, rad_nums)) - sum(map(row, rad_dens))
+        coef = sum(map(row, coef_nums)) - sum(map(row, coef_dens))
+    except IndexError:  # an argument past the table
+        top = max(rad_nums + rad_dens + coef_nums + coef_dens)
+        if top > _FACT_CAP:
+            primes = primes_up_to(top)
+            rad, coef = _legendre(primes, rad_nums, rad_dens), _legendre(primes, coef_nums, coef_dens)
+            return ExactSymbol.from_prime_exponents(num, primes, rad, coef, den)
+        size = min(max(top + 1, 2 * len(rows)), _FACT_CAP + 1)
+        primes = primes_up_to(size - 1)
+        rows = [0] * size  # the fields of j, then summed into those of j!
+        for i, p in enumerate(primes):
+            field, q = 1 << 16 * i, p
+            while q < size:
+                for j in range(q, size, q):
+                    rows[j] += field
+                q *= p
+        for j in range(2, size):
+            rows[j] += rows[j - 1]
+        _facts = (rows, primes)  # replaced as a whole, like _sieve
+        return factorial_symbol(num, rad_nums, rad_dens, coef_nums, coef_dens, den)
+    # f fields reach the highest non-zero one, as |e| < 2**15; bias is 2**15 in 2f fields
+    f = max(rad.bit_length(), coef.bit_length()) // 16 + 1
+    bias = (1 << 32 * f) // 0xFFFF << 15
+    # every biased field is e + 2**15 > 0, and xor with the bias leaves e mod 2**16
+    packed = ((rad + (coef << 16 * f) + bias) ^ bias).to_bytes(4 * f, sys.byteorder)
+    fields = memoryview(packed).cast("h")
+    return ExactSymbol.from_prime_exponents(num, primes, fields[:f], fields[f:], den)
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
@@ -110,27 +179,28 @@ class ExactSymbol(Record):
         return cls(Fraction(0), Fraction(1))
 
     @classmethod
-    def from_prime_exponents(cls, num: int, exponents: dict[int, int], den: int) -> "ExactSymbol":
-        """Build (num/den) * sqrt(prod p**e) from a prime-exponent map.
+    def from_prime_exponents(cls, num: int, primes, rad, coef, den: int) -> "ExactSymbol":
+        """Build (num/den) * prod p**c * sqrt(prod p**e) over zip(primes, rad, coef).
 
-        The square part prod p**(e//2) moves into the coefficient without ever
-        multiplying out the radicand.  Each odd-exponent prime enters the
-        radicand once, so it is square-free with coprime parts already: the
-        value is built canonical, without __post_init__'s trial division.
-        num/den is an int ratio, unreduced, reduced once together with the
-        square part.
+        The radicand's square part joins the coefficient's exponents, and each
+        odd-exponent prime enters the radicand once: the value is canonical
+        without __post_init__'s trial division.  The unreduced int ratio
+        num/den is reduced once, together with the coefficient's primes.
         """
         mult_num = mult_den = 1
         rad_num = rad_den = 1
-        for p, e in exponents.items():
-            if e > 0:
-                mult_num *= p ** (e >> 1)
-                if e & 1:
+        for p, e, c in zip(primes, rad, coef):
+            if e & 1:  # p under the root once, on the side of e's sign
+                if e > 0:
                     rad_num *= p
-            elif e < 0:
-                mult_den *= p ** (-e >> 1)
-                if e & 1:
+                else:
                     rad_den *= p
+                    e += 1
+            c += e >> 1
+            if c > 0:
+                mult_num *= p**c
+            elif c < 0:
+                mult_den *= p**-c
         q = Fraction(num * mult_num, den * mult_den)
         if not q:
             return cls.zero()

@@ -91,9 +91,10 @@ def scan(s: SpinSextuple, kind: str, k_list: list[int]) -> list[ScanRecord]:
         _check(*_sums(s.scaled(ks[0]).doubled()), "su2" if kind == "su2" else "osp12")
     except SixjError as exc:
         raise type(exc)(f"k={ks[0]}: {exc}") from exc
-    v, p = _sums(s.scaled(ks[-1]).doubled())  # the kernel's cost bound, at the largest k
-    w, m = [(x + 1) // 2 for x in v], [(x + 1) // 2 for x in p]
-    _check_cost(min(m) - max(w) + 1, max(m) + 1)
+    v, p = _sums(s.doubled())  # the kernel's cost, summed: at k, w = (k v + 1)//2, m = (k p + 1)//2
+    lo, hi, top, spent = max(v), min(p), max(p), 0
+    for k in ks:
+        spent = _check_cost((k * hi + 1) // 2 - (k * lo + 1) // 2 + 1, (k * top + 1) // 2 + 1, spent)
     geo = tet_from_spins(s)
     records = []
     for k in ks:

@@ -13,7 +13,7 @@ three parities; the per-parity forms fall out of the brackets.
 
 Since (t+1)! = t! (t+1), both sums are one kernel with monomial 1 + t for
 SU(2).  It nests the sum from the top term down over the term ratio on plain
-ints; the caller reduces the result once, as a single Fraction.
+ints; its factorial head enters as exponent vectors, with the prefactor's.
 
 Both evaluators run one pipeline on the doubled spins d = (2j1, ..., 2J3),
 read once from the sextuple: doubled triangle data and admissibility from
@@ -24,11 +24,10 @@ and (v_i + 1)//2.  No HalfInt or Fraction is built before the sum.
 
 from __future__ import annotations
 
-import math
 import warnings
 
 from .errors import EmptySumWarning, ShiftViolation
-from .exact import ExactSymbol, primes_up_to
+from .exact import ExactSymbol, factorial_symbol
 from .halfint import HalfInt
 from .triangles import Parity, SpinSextuple, _beta_split, _check, _jj, _sums
 
@@ -66,31 +65,35 @@ def _super_prefactor_args(v, p) -> tuple[list[int], list[int]]:
 
 
 # Estimated cost (terms + 3000) n log2 n, n - 1 the largest factorial argument:
-# the kernel's ints reach about n log2 n bits, and the factorials and prime
-# exponents weigh about 3000 terms.  At the bound, all-ones SU(2) at k = 51200
-# and {N N 0; N N 0} at N = 757000 took 56 s and 59 s (one core, shared x86 VM).
+# the kernel's ints reach about n log2 n bits.  The 3000-term weight was sized
+# on a full-factorial head the kernel no longer builds, so the bound is now
+# conservative for few terms.  At it, with that head, all-ones SU(2) at
+# k = 51200 and {N N 0; N N 0} at N = 757000 took 56 s and 59 s on one core.
 MAX_EXACT_COST = 2 * 10**11
 
 
-def _check_cost(terms: int, n: int) -> None:
-    """ValueError when the estimated cost of a kernel call passes MAX_EXACT_COST."""
-    if (terms + 3000) * n * n.bit_length() > MAX_EXACT_COST:
+def _check_cost(terms: int, n: int, spent: int = 0) -> int:
+    """spent plus the estimated cost of a kernel call; ValueError past MAX_EXACT_COST."""
+    spent += (terms + 3000) * n * n.bit_length()
+    if spent > MAX_EXACT_COST:
         raise ValueError("spins are too large for exact evaluation")
+    return spent
 
 
-def _alternating_sum(w: list[int], m: list[int], c0: int, c1: int) -> tuple[int, int]:
-    """Unreduced (num, den) of sum_t (-1)^t t! (c0 + c1 t) / [prod (t-w_i)! prod (m_j-t)!].
+def _alternating_sum(w: list[int], m: list[int], c0: int, c1: int) -> int:
+    """Signed numerator of sum_t (-1)^t t! (c0 + c1 t) / [prod (t-w_i)! prod (m_j-t)!].
 
     t runs over the integers max(w) = lo <= t <= hi = min(m), with four w
-    and three m; an empty range gives (0, 1).  The sum is nested from the top
+    and three m; an empty range gives 0.  The sum is nested from the top
     term down over the term ratio -(t+1) prod (m_j-t) / prod (t+1-w_i), so
-    the loop multiplies plain ints only.  The head lo! / [prod (lo-w_i)!
-    prod (m_j-lo)!] and the sign (-1)^lo enter once, at the end.  Raises
-    ValueError, before any work, past the cost bound of _check_cost.
+    the loop multiplies plain ints only.  Its denominator prod (hi-w_i)! /
+    (lo-w_i)! and the head lo! / [prod (lo-w_i)! prod (m_j-lo)!] leave the
+    factor lo! / [prod (hi-w_i)! prod (m_j-lo)!], which _symbol applies.
+    Raises ValueError, before any work, past the bound of _check_cost.
     """
     lo, hi = max(w), min(m)
     if lo > hi:
-        return 0, 1
+        return 0
     _check_cost(hi - lo + 1, max(m) + 1)
     w0, w1, w2, w3 = w
     m0, m1, m2 = m
@@ -100,38 +103,15 @@ def _alternating_sum(w: list[int], m: list[int], c0: int, c1: int) -> tuple[int,
         b = (u - w0) * (u - w1) * (u - w2) * (u - w3)
         num = (c0 + c1 * t) * b * den - u * (m0 - t) * (m1 - t) * (m2 - t) * num
         den *= b
-    num *= math.factorial(lo)
-    for x in w:
-        den *= math.factorial(lo - x)
-    for x in m:
-        den *= math.factorial(x - lo)
-    return (-num if lo % 2 else num), den
+    return -num if lo % 2 else num
 
 
-def _prefactor_symbol(nums: list[int], dens: list[int], num: int, den: int) -> ExactSymbol:
-    """(num/den) * sqrt(prod nums! / prod dens!) built from prime-exponent vectors.
-
-    num/den is the kernel's unreduced int ratio, reduced once at the end.
-
-    The radicand is never multiplied out, so square extraction stays cheap
-    however large the factorial arguments grow under spin rescaling.  The
-    exponent of p in n! is Legendre's sum of n // p**i, accumulated inline.
-    """
-    top = max(nums + dens, default=0)
-    exps: dict[int, int] = {}
-    for p in primes_up_to(top):
-        e = 0
-        for n in nums:
-            while n >= p:
-                n //= p
-                e += n
-        for n in dens:
-            while n >= p:
-                n //= p
-                e -= n
-        if e:
-            exps[p] = e
-    return ExactSymbol.from_prime_exponents(num, exps, den)
+def _symbol(num: int, w: list[int], m: list[int], nums: list[int], dens: list[int],
+            den: int) -> ExactSymbol:
+    """num/den times the kernel's factorial head, times sqrt(prod nums! / prod dens!)."""
+    (w0, w1, w2, w3), (m0, m1, m2), lo, hi = w, m, max(w), min(m)
+    head_dens = [hi - w0, hi - w1, hi - w2, hi - w3, m0 - lo, m1 - lo, m2 - lo]
+    return factorial_symbol(num, nums, dens, [lo], head_dens, den)
 
 
 def sixj_exact(s: SpinSextuple) -> ExactSymbol:
@@ -140,12 +120,10 @@ def sixj_exact(s: SpinSextuple) -> ExactSymbol:
     _check(v, p, "su2")
     w = [x // 2 for x in v]
     m = [x // 2 for x in p]
-    num, den = _alternating_sum(w, m, 1, 1)
+    num = _alternating_sum(w, m, 1, 1)
     if num == 0:
         return ExactSymbol.zero()
-    nums = [mj - wi for mj in m for wi in w]
-    dens = [wi + 1 for wi in w]
-    return _prefactor_symbol(nums, dens, num, den)
+    return _symbol(num, w, m, [mj - wi for mj in m for wi in w], [wi + 1 for wi in w], 1)
 
 
 def sixj_super_exact(s: SpinSextuple) -> ExactSymbol:
@@ -167,9 +145,9 @@ def sixj_super_exact(s: SpinSextuple) -> ExactSymbol:
         warnings.warn("empty summation range; exact value is 0", EmptySumWarning)
         return ExactSymbol.zero()
     # the sum runs with 4x the monomial, whose coefficients are then integers
-    num, den = _alternating_sum(w, m, *_monomial4(parity, d, beta))
+    num = _alternating_sum(w, m, *_monomial4(parity, d, beta))
     if num == 0:
         return ExactSymbol.zero()
     if _jj(d) % 2:
         num = -num
-    return _prefactor_symbol(*_super_prefactor_args(v, p), num, 4 * den)
+    return _symbol(num, w, m, *_super_prefactor_args(v, p), 4)

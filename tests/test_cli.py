@@ -317,6 +317,15 @@ class TestInputBoundary:
         assert (code, out, err) == (2, "", "error: spins are too large for exact evaluation\n")
         assert not evaluated.called
 
+    def test_scan_over_the_summed_cost_bound_is_usage_error(self, capsys, monkeypatch):
+        # each k up to 51200 passes the bound alone; the whole scan, some 250 h of work, does not
+        evaluated = mock.Mock(side_effect=AssertionError("evaluated"))
+        scan_module = importlib.import_module("sixj.scan")
+        monkeypatch.setattr(scan_module, "sixj_exact", evaluated)
+        code, out, err = run(capsys, "scan", "--k-from", "1", "--k-to", "51200", *("1",) * 6)
+        assert (code, out, err) == (2, "", "error: spins are too large for exact evaluation\n")
+        assert not evaluated.called
+
     @pytest.mark.parametrize("k_range", [
         ("--k-from", "1", "--k-to", str(10**30)),
         ("--k-from", "1", "--k-to", "100001"),

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sixj import ExactSymbol, ScaledFloat, exact
-from sixj.exact import exact_to_scaled, factorial, primes_up_to, squarefree_split
-from sixj.symbols import _alternating_sum, _prefactor_symbol
+from sixj import ExactSymbol, ScaledFloat, SpinSextuple, exact, sixj_exact, sixj_super_exact, symbols
+from sixj.exact import exact_to_scaled, factorial, factorial_symbol, primes_up_to, squarefree_split
+from sixj.symbols import _alternating_sum, _symbol
 from oracles import primes_by_trial_division
 
 
@@ -22,8 +22,8 @@ def test_factorial_basics():
 
 
 def test_factorial_trailing_zeros_matches_legendre():
-    # _prefactor_symbol's Legendre exponents of sqrt(50! 50!) give back 50!
-    value = _prefactor_symbol([50, 50], [], 1, 1)
+    # the table's exponents of sqrt(50! 50!) give back 50!
+    value = factorial_symbol(1, [50, 50], [], [], [], 1)
     assert value == ExactSymbol(Fraction(factorial(50)), Fraction(1))
     # power of 5 in 50! by Legendre's formula gives the trailing-zero count
     zeros = 50 // 5 + 50 // 25
@@ -33,11 +33,14 @@ def test_factorial_trailing_zeros_matches_legendre():
 
 
 def test_factorial_table_consistent():
-    # the kernel's single term at t = n is (-1)^n n! / (0!^4 0!^3): its head
+    # the kernel's single term at t = n is (-1)^n n! / (0!^4 0!^3): the numerator
+    # (-1)^n, times the head n! / (0!^4 0!^3) that _symbol takes from the table
     table = [_alternating_sum([n] * 4, [n] * 3, 1, 0) for n in range(31)]
-    assert table[0] == (1, 1)
+    assert table[0] == 1
     for n in (1, 7, 19, 30):
-        assert table[n] == ((-1) ** n * factorial(n), 1)
+        assert table[n] == (-1) ** n
+        value = _symbol(table[n], [n] * 4, [n] * 3, [], [], 1)
+        assert value == ExactSymbol(Fraction((-1) ** n * factorial(n)), Fraction(1))
 
 
 def test_squarefree_split():
@@ -97,7 +100,7 @@ class TestExactSymbol:
             for p, e in exps.items():
                 rad *= Fraction(p) ** e
             assert ExactSymbol.from_prime_exponents(
-                coeff.numerator, exps, coeff.denominator
+                coeff.numerator, exps, exps.values(), [0] * len(exps), coeff.denominator
             ) == ExactSymbol(coeff, rad)
 
 
@@ -194,7 +197,7 @@ def _squarefree(n: int) -> bool:
 @example(num=-7, den=2, exps={2: 0, 5: -3, 7: 4})
 def test_from_prime_exponents_is_canonical(num, den, exps):
     coeff = Fraction(num, den)
-    v = ExactSymbol.from_prime_exponents(num, exps, den)
+    v = ExactSymbol.from_prime_exponents(num, exps, exps.values(), [0] * len(exps), den)
     again = ExactSymbol(v.coeff, v.radicand)
     assert (v.coeff, v.radicand) == (again.coeff, again.radicand)
     rn, rd = v.radicand.numerator, v.radicand.denominator
@@ -266,9 +269,147 @@ class TestSieveCache:
 @example(num=0, den=7, exps={2: 1})
 @example(num=12, den=-18, exps={3: 3})
 def test_from_prime_exponents_int_ratio_matches_fraction(num, den, exps):
-    by_ints = ExactSymbol.from_prime_exponents(num, exps, den)
+    by_ints = ExactSymbol.from_prime_exponents(num, exps, exps.values(), [0] * len(exps), den)
     # the canonicalising constructor, by trial division of the multiplied-out radicand
     radicand = math.prod((Fraction(p) ** e for p, e in exps.items()), start=Fraction(1))
     by_fraction = ExactSymbol(Fraction(num, den), radicand)
     assert type(by_ints.coeff) is Fraction and type(by_ints.radicand) is Fraction
     assert (by_ints.coeff, by_ints.radicand) == (by_fraction.coeff, by_fraction.radicand)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    num=st.integers(-(10**30), 10**30),
+    den=st.integers(1, 10**12),
+    exps=st.dictionaries(
+        st.sampled_from(_PRIMES), st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=8
+    ),
+)
+@example(num=1, den=4, exps={2: (-3, 2)})
+@example(num=-7, den=1, exps={3: (5, -2), 5: (0, -1)})
+def test_from_prime_exponents_coefficient_exponents_match_fraction(num, den, exps):
+    # (num/den) prod p**c sqrt(prod p**e), the coefficient's primes kept apart from the radicand's
+    rad, coef = [e for e, _ in exps.values()], [c for _, c in exps.values()]
+    value = ExactSymbol.from_prime_exponents(num, exps, rad, coef, den)
+    coeff = Fraction(num, den) * math.prod((Fraction(p) ** c for p, (_, c) in exps.items()), start=1)
+    radicand = math.prod((Fraction(p) ** e for p, (e, _) in exps.items()), start=Fraction(1))
+    assert value == ExactSymbol(coeff, radicand)  # componentwise, so the same canonical bytes
+
+
+EMPTY_TABLE = ([0], [])  # the table before any request: 0! and no prime
+
+
+def unpacked(row: int, fields: int) -> list[int]:
+    """The 16-bit fields of a table row, lowest first."""
+    return [(row >> (16 * i)) & 0xFFFF for i in range(fields)]
+
+
+class TestFactorialTable:
+    """The packed n! exponent vectors of sixj.exact, against Legendre and exact factorials."""
+
+    def test_fields_stay_inside_sixteen_bits(self):
+        cap = exact._FACT_CAP
+        # v_p(n!) <= n - 1: the largest exponent in any row is that of 2 in cap!
+        assert max(exact._legendre(primes_up_to(cap), [cap], [])) == cap - 1 == 2047
+        # radicand: twelve rows over four; coefficient: one row over seven
+        radicand = (2**15 - 4 * (cap - 1), 2**15 + 12 * (cap - 1))
+        coefficient = (2**15 - 7 * (cap - 1), 2**15 + (cap - 1))
+        for low, high in (radicand, coefficient):
+            assert 0 < low and high < 2**16
+        # the documented limit of 15 arguments on each side of either list
+        assert 0 < 2**15 - 15 * (cap - 1) and 2**15 + 15 * (cap - 1) < 2**16
+
+    def test_evaluators_pass_at_most_fifteen_arguments_per_list(self, monkeypatch):
+        seen = set()
+
+        def spy(num, *lists):
+            seen.add(tuple(map(len, lists[:4])))
+            return factorial_symbol(num, *lists)
+
+        monkeypatch.setattr(symbols, "factorial_symbol", spy)
+        sixj_exact(SpinSextuple.of(1, 2, 2, 2, 1, 2))
+        for spins in [(1,) * 6, (1, 1.5, 1.5, 1.5, 1.5, 1), (0.5,) * 6]:  # alpha, beta, gamma
+            sixj_super_exact(SpinSextuple.of(*map(Fraction, spins)))
+        assert seen == {(12, 4, 1, 7)}
+
+    def test_rows_are_the_exponents_of_n_factorial(self, monkeypatch):
+        monkeypatch.setattr(exact, "_facts", EMPTY_TABLE)
+        factorial_symbol(1, [exact._FACT_CAP], [], [], [], 1)
+        rows, primes = exact._facts
+        assert len(rows) == exact._FACT_CAP + 1 and primes == primes_up_to(exact._FACT_CAP)
+        for n in (0, 1, 2, 3, 10, 97, 720, 2047, 2048):
+            fact = math.factorial(n)
+            for p, e in zip(primes, unpacked(rows[n], len(primes))):
+                assert fact % p**e == 0 and fact % p ** (e + 1) != 0, (n, p, e)
+
+    @pytest.mark.parametrize("top", [exact._FACT_CAP, exact._FACT_CAP + 1])
+    def test_table_and_legendre_agree_at_the_cap(self, monkeypatch, top):
+        rng = random.Random(top)
+        for _ in range(4):
+            lists = (
+                [top] + [rng.randint(0, top) for _ in range(11)],
+                [rng.randint(0, top) for _ in range(4)],
+                [rng.randint(0, top)],
+                [rng.randint(0, top) for _ in range(7)],
+            )
+            num, den = rng.randint(-(10**9), 10**9), rng.choice([1, 4])
+            values = []
+            for cap in (top - 1, top):  # Legendre past the cap, the table up to it
+                monkeypatch.setattr(exact, "_FACT_CAP", cap)
+                monkeypatch.setattr(exact, "_facts", EMPTY_TABLE)
+                values.append(factorial_symbol(num, *lists, den))
+                assert len(exact._facts[0]) == (1 if cap < top else top + 1)
+            assert values[0] == values[1]
+
+    def test_growth_never_mutates_a_held_table(self, monkeypatch):
+        monkeypatch.setattr(exact, "_facts", EMPTY_TABLE)
+        factorial_symbol(1, [10], [], [], [], 1)
+        held = exact._facts
+        rows, primes = list(held[0]), list(held[1])
+        factorial_symbol(1, [100], [3], [7], [2], 1)
+        assert exact._facts is not held and len(exact._facts[0]) > len(rows)
+        assert held == (rows, primes)
+        assert exact._facts[0][: len(rows)] == rows
+        assert EMPTY_TABLE == ([0], [])
+
+    def test_threads_growing_the_table_get_correct_values(self, monkeypatch):
+        rng = random.Random(71)
+        cases = [[rng.randint(0, n) for _ in range(4)] for n in sorted(rng.randint(1, 2048) for _ in range(60))]
+        monkeypatch.setattr(exact, "_FACT_CAP", 0)  # every case by Legendre
+        want = [factorial_symbol(1, c[:2], c[2:3], c[3:], [], 1) for c in cases]
+        monkeypatch.setattr(exact, "_FACT_CAP", 2048)
+        monkeypatch.setattr(exact, "_facts", EMPTY_TABLE)
+        wrong = []
+
+        def work(seed):
+            order = list(range(len(cases)))
+            random.Random(seed).shuffle(order)
+            for i in sorted(order[:40]):
+                c = cases[i]
+                if factorial_symbol(1, c[:2], c[2:3], c[3:], [], 1) != want[i]:
+                    wrong.append(i)
+
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    @pytest.mark.parametrize("a, b, c", [
+        (10**5, 10**5, 0),
+        (10**5, 10**5 + 1, 1),
+        (Fraction(200001, 2), Fraction(199999, 2), 1),
+        (99991, 100003, 12),
+    ])
+    def test_closed_form_above_the_cap(self, a, b, c):
+        # {a b c; b a 0} = (-1)^(a+b+c) / sqrt((2a+1)(2b+1)): one term, factorials near 2 * 10**5
+        value = sixj_exact(SpinSextuple.of(a, b, c, b, a, 0))
+        sign = -1 if (a + b + c) % 2 else 1
+        assert value == ExactSymbol(Fraction(sign), Fraction(1, (2 * a + 1) * (2 * b + 1)))

@@ -19,12 +19,21 @@ from sixj import (
     write_json,
 )
 from sixj.scan import MAX_SCAN_POINTS, k_range, local_maxima
+from sixj.triangles import _sums
 
 SCAN_MODULE = importlib.import_module("sixj.scan")  # the package binds sixj.scan to the function
 
 HALF = Fraction(1, 2)
 ALL_ONES = SpinSextuple.of(1, 1, 1, 1, 1, 1)
 ALL_HALVES = SpinSextuple.of(*([HALF] * 6))
+
+
+def estimated_cost(s: SpinSextuple) -> int:
+    """The kernel's cost estimate on s, (terms + 3000) n log2 n, by calculation."""
+    v, p = _sums(s.doubled())
+    w, m = [(x + 1) // 2 for x in v], [(x + 1) // 2 for x in p]
+    terms, n = min(m) - max(w) + 1, max(m) + 1
+    return (terms + 3000) * n * n.bit_length()
 
 
 def csv_text(records: list[ScanRecord]) -> str:
@@ -112,6 +121,21 @@ class TestScan:
         monkeypatch.setattr("sixj.symbols.MAX_EXACT_COST", 10**6)
         with pytest.raises(ValueError, match="^spins are too large for exact evaluation$"):
             scan(ALL_ONES, "su2", [1, 2, 101])
+
+    @pytest.mark.parametrize("base, kind", [(ALL_ONES, "su2"), (ALL_HALVES, "super")])
+    def test_summed_cost_checked_before_any_evaluation(self, monkeypatch, base, kind):
+        # every k alone is under the bound, the whole scan is not
+        ks = list(range(1, 21))
+        total = sum(estimated_cost(base.scaled(k)) for k in ks)
+        assert 2 * estimated_cost(base.scaled(ks[-1])) < total
+        monkeypatch.setattr("sixj.symbols.MAX_EXACT_COST", total - 1)
+        with monkeypatch.context() as patched:
+            patched.setattr(SCAN_MODULE, "sixj_exact", None)  # a call would raise TypeError
+            patched.setattr(SCAN_MODULE, "sixj_super_exact", None)
+            with pytest.raises(ValueError, match="^spins are too large for exact evaluation$"):
+                scan(base, kind, ks)
+        monkeypatch.setattr("sixj.symbols.MAX_EXACT_COST", total)
+        assert [r.k for r in scan(base, kind, ks)] == ks
 
 
 class TestEnvelopeSlope:

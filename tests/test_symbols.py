@@ -20,7 +20,8 @@ from sixj import (
     sixj_super_exact,
 )
 from sixj import symbols
-from sixj.symbols import _alternating_sum, _check_cost, _prefactor_symbol, _super_prefactor_args
+from sixj.exact import factorial_symbol
+from sixj.symbols import _alternating_sum, _check_cost, _super_prefactor_args, _symbol
 from sixj.triangles import _sums, beta_decompose, classify_parity, is_admissible, triangle_sums
 from cores import frontal_sign, monomial4
 from oracles import (
@@ -185,19 +186,19 @@ class TestPrefactors:
         v, p = triangle_sums(SpinSextuple.of(1, 1, 1, 1, 1, 1)).doubled()
         nums = [(pj - vi) // 2 for pj in p for vi in v]
         dens = [vi // 2 + 1 for vi in v]
-        assert _prefactor_symbol(nums, dens, 1, 1).squared() == Fraction(1, 331776)
+        assert factorial_symbol(1, nums, dens, [], [], 1).squared() == Fraction(1, 331776)
 
     def test_alpha_all_ones(self):
         t = triangle_sums(SpinSextuple.of(1, 1, 1, 1, 1, 1))
         assert classify_parity(t) is Parity.ALPHA
         args = _super_prefactor_args(*t.doubled())
-        assert _prefactor_symbol(*args, 1, 1).squared() == Fraction(1, 1296)
+        assert factorial_symbol(1, *args, [], [], 1).squared() == Fraction(1, 1296)
 
     def test_gamma_all_halves(self):
         t = triangle_sums(SpinSextuple.of(*([HALF] * 6)))
         assert classify_parity(t) is Parity.GAMMA
         args = _super_prefactor_args(*t.doubled())
-        assert _prefactor_symbol(*args, 1, 1).squared() == Fraction(1, 16)
+        assert factorial_symbol(1, *args, [], [], 1).squared() == Fraction(1, 16)
 
     def test_beta_matches_explicit_product(self):
         # generic integer-part prefactor equals the twelve-factorial split form
@@ -220,16 +221,16 @@ class TestPrefactors:
                 math.prod(map(math.factorial, nums)), math.prod(map(math.factorial, dens))
             )
             assert product == explicit
-            assert _prefactor_symbol(nums, dens, 1, 1).squared() == explicit
+            assert factorial_symbol(1, nums, dens, [], [], 1).squared() == explicit
 
     def test_unreduced_int_ratio_matches_fraction(self):
-        # the evaluators pass the kernel's (num, den) unreduced, as two ints
+        # the int ratio num/den is passed unreduced, as two ints
         rng = random.Random(51)
         for s in random_admissible(rng, n=100):
             nums, dens = _super_prefactor_args(*triangle_sums(s).doubled())
             num, den = rng.randint(-(10**9), 10**9), rng.randint(1, 10**6)
-            value = _prefactor_symbol(nums, dens, 6 * num, 6 * den)
-            assert value == _prefactor_symbol(nums, dens, num, den)
+            value = factorial_symbol(6 * num, nums, dens, [], [], 6 * den)
+            assert value == factorial_symbol(num, nums, dens, [], [], den)
             product = Fraction(
                 math.prod(map(math.factorial, nums)), math.prod(map(math.factorial, dens))
             )
@@ -282,12 +283,16 @@ class TestAlternatingSum:
     @settings(max_examples=300, deadline=None)
     def test_matches_term_by_term_sum(self, args):
         w, m, c0, c1 = args
-        num, den = _alternating_sum(w, m, c0, c1)
-        assert den > 0
-        assert Fraction(num, den) == _term_by_term(w, m, c0, c1)
+        # the numerator times lo! / [prod (hi-w_i)! prod (m_j-lo)!], by hand and by _symbol
+        num = _alternating_sum(w, m, c0, c1)
+        lo, hi = max(w), min(m)
+        den = math.prod(math.factorial(hi - x) for x in w) * math.prod(math.factorial(x - lo) for x in m)
+        value = Fraction(num * math.factorial(lo), den)
+        assert value == _term_by_term(w, m, c0, c1)
+        assert _symbol(num, w, m, [], [], 1) == ExactSymbol(value, Fraction(1))
 
     def test_empty_range_is_zero(self):
-        assert _alternating_sum([5, 1, 1, 1], [4, 6, 6], 1, 1) == (0, 1)
+        assert _alternating_sum([5, 1, 1, 1], [4, 6, 6], 1, 1) == 0
 
     def test_hand_built_empty_range_warns(self, monkeypatch):
         # admissibility excludes empty ranges; bypass it to reach the guard
@@ -385,7 +390,7 @@ class TestCostBound:
     ])
     def test_evaluators_refuse_before_any_work(self, monkeypatch, evaluate, spins):
         monkeypatch.setattr(symbols, "MAX_EXACT_COST", 10**6)
-        monkeypatch.setattr(symbols, "_prefactor_symbol", None)  # a call would raise TypeError
+        monkeypatch.setattr(symbols, "factorial_symbol", None)  # a call would raise TypeError
         with pytest.raises(ValueError, match="^spins are too large for exact evaluation$"):
             evaluate(SpinSextuple.of(*spins))
 
