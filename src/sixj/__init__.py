@@ -17,13 +17,11 @@ from .asymptotics import (
 from .errors import (
     AdmissibilityError,
     DegenerateFactorError,
-    EmptySumWarning,
     InsufficientExtremaError,
     IntegralityViolation,
     KParityError,
     NonEuclideanError,
     ParityViolation,
-    ShiftViolation,
     SixjError,
     TriangleViolation,
     UndefinedShiftError,
@@ -41,7 +39,6 @@ __all__ = [
     "AsymptoticResult",
     "AdmissibilityError",
     "DegenerateFactorError",
-    "EmptySumWarning",
     "ExactSymbol",
     "HalfInt",
     "InsufficientExtremaError",
@@ -52,7 +49,6 @@ __all__ = [
     "ParityViolation",
     "ScaledFloat",
     "ScanRecord",
-    "ShiftViolation",
     "SixjError",
     "SlopeFit",
     "SpinSextuple",

@@ -80,6 +80,15 @@ def _shift(parity: Parity, d, v, split, vol24: float) -> tuple[float, float]:
     return _polar((c16 * (V + Vp - Pb - Pbp) + b4 * w4) / 16, vol24 * (w4 / 4))
 
 
+def _running_sum(xs) -> float:
+    """The floats xs added left to right, as sum() adds them before Python 3.12;
+    later sum() compensates the rounding and would print other last digits."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 def _phase(d, k: int, theta, gamma: bool = False, slot: int | None = None) -> float:
     """Accumulated dihedral-angle phase of the cosine argument.
 
@@ -89,8 +98,8 @@ def _phase(d, k: int, theta, gamma: bool = False, slot: int | None = None) -> fl
     """
     spins = [x / 2.0 for x in d]
     if gamma:
-        return k * sum(j * t for j, t in zip(spins, theta))
-    total = sum((k * j + 0.5) * t for j, t in zip(spins, theta))
+        return k * _running_sum(j * t for j, t in zip(spins, theta))
+    total = _running_sum((k * j + 0.5) * t for j, t in zip(spins, theta))
     return total if slot is None else total + 0.5 * theta[slot]
 
 

@@ -21,9 +21,10 @@ from .errors import (
     UndefinedShiftError,
 )
 from .geometry import tet_from_spins
+from .halfint import _half_text
 from .scan import envelope_slope, k_range, read_csv, scan, write_csv, write_json
 from .symbols import sixj_exact, sixj_super_exact
-from .triangles import SpinSextuple, check_admissible, classify_parity, triangle_sums
+from .triangles import SpinSextuple, _check, _sums
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -103,13 +104,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
-def _parse_sextuple(args) -> SpinSextuple:
-    return SpinSextuple.parse(args.spins)
-
-
 def _dispatch(args) -> int:
     if args.command == "eval":
-        s = _parse_sextuple(args)
+        s = SpinSextuple.parse(args.spins)
         value = sixj_exact(s) if args.kind == "su2" else sixj_super_exact(s)
         print(f"coeff     {value.coeff}")
         print(f"radicand  {value.radicand}")
@@ -117,23 +114,21 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "classify":
-        s = _parse_sextuple(args)
-        t = triangle_sums(s)
-        check_admissible(t, "osp12")
-        print(f"parity    {classify_parity(t).value}")
-        print("v         " + " ".join(str(x) for x in t.v))
-        print("p         " + " ".join(str(x) for x in t.p))
+        v, p = _sums(SpinSextuple.parse(args.spins).doubled())
+        print(f"parity    {_check(v, p, 'osp12').value}")
+        print("v         " + " ".join(map(_half_text, v)))
+        print("p         " + " ".join(map(_half_text, p)))
         return EXIT_OK
 
     if args.command == "geometry":
-        s = _parse_sextuple(args)
+        s = SpinSextuple.parse(args.spins)
         geo = tet_from_spins(s)
         print(f"volume    {geo.volume!r}")
         print("theta_ext " + " ".join(repr(t) for t in geo.theta_ext))
         return EXIT_OK
 
     if args.command == "asym":
-        s = _parse_sextuple(args)
+        s = SpinSextuple.parse(args.spins)
         if args.k < 1:
             raise ValueError("--k must be a positive integer")
         res = asym_standard(s, args.k) if args.kind == "su2" else asym_for_scaled(s, args.k)
@@ -144,7 +139,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "scan":
-        s = _parse_sextuple(args)
+        s = SpinSextuple.parse(args.spins)
         records = scan(s, args.kind, _scan_ks(args))
         writer = write_csv if args.format == "csv" else write_json
         if args.out:

@@ -1,4 +1,4 @@
-"""Exception hierarchy and warning categories."""
+"""Exception hierarchy."""
 
 
 class SixjError(Exception):
@@ -23,11 +23,6 @@ class ParityViolation(AdmissibilityError):
     spin assignment can produce; only 0, 2 or 4 are admissible."""
 
 
-class ShiftViolation(SixjError):
-    """A factorial argument in a parity prefactor is not a non-negative integer
-    after the half-unit shifts; indicates a misclassified parity."""
-
-
 class NonEuclideanError(SixjError):
     """The six edge lengths do not embed as a non-degenerate Euclidean tetrahedron."""
 
@@ -46,7 +41,3 @@ class UndefinedShiftError(SixjError):
 
 class InsufficientExtremaError(SixjError):
     """Fewer than three local maxima are available for an envelope fit."""
-
-
-class EmptySumWarning(RuntimeWarning):
-    """The summation range of an exact evaluation is empty; the value is exact zero."""

@@ -23,13 +23,6 @@ from fractions import Fraction
 from .record import Record
 
 
-def factorial(n: int) -> int:
-    """Exact n! for non-negative integer n."""
-    if n < 0:
-        raise ValueError(f"factorial of negative value {n}")
-    return math.factorial(n)
-
-
 # (limit, the primes below limit), replaced as one tuple so that no reader
 # pairs a limit with other primes.  A request for n >= limit re-sieves to
 # max(n + 1, 2 * limit) <= 2n, so limit stays within twice the largest n.
@@ -256,21 +249,6 @@ class ScaledFloat(Record):
     @classmethod
     def zero(cls) -> "ScaledFloat":
         return cls(0.0, 0)
-
-    @classmethod
-    def from_float(cls, x: float) -> "ScaledFloat":
-        if x == 0.0:
-            return cls.zero()
-        m, e = math.frexp(x)  # |m| in [0.5, 1)
-        return cls(m * 2.0, e - 1)
-
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> "ScaledFloat":
-        if q == 0:
-            return cls.zero()
-        sign = 1 if q > 0 else -1
-        m, e = _ratio_to_mantissa(abs(q.numerator), q.denominator)
-        return cls(sign * m, e)
 
     def to_float(self) -> float:
         """Nearest native float; saturates to +-inf outside the double range."""

@@ -1,8 +1,11 @@
 """Exact half-integer values stored as doubled integers.
 
-All spins, triangle sums and quadrangle sums are half-integers.  Storing the
-doubled value keeps every comparison, addition and subtraction in exact
-integer arithmetic, so parity classification never touches floating point.
+All spins, triangle sums and quadrangle sums are half-integers.  The program
+computes on their doubled values, plain ints, so every comparison and sum is
+exact and parity classification never touches floating point.  ``HalfInt``
+is the value type of the public spin views, without arithmetic of its own;
+``_twice_of``, ``_parse_twice`` and ``_half_text`` read and write the
+doubled ints directly.
 """
 
 from __future__ import annotations
@@ -39,18 +42,10 @@ class HalfInt(Record):
         """
         return cls(_parse_twice(text))
 
-    # -- predicates and conversions ---------------------------------------
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
+    # -- conversions -------------------------------------------------------
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.twice, 2)
-
-    def floor_plus_half(self) -> int:
-        """Integer part of (self + 1/2); equals self when integer, self + 1/2 otherwise."""
-        return (self.twice + 1) // 2
 
     def __float__(self) -> float:
         return self.twice / 2.0
@@ -65,24 +60,6 @@ class HalfInt(Record):
 
     def __repr__(self) -> str:
         return f"HalfInt({self.twice})"
-
-    # -- exact arithmetic --------------------------------------------------
-
-    def __add__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.twice + other.twice)
-
-    def __sub__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.twice - other.twice)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
-
-    def __mul__(self, k: int) -> "HalfInt":
-        if not isinstance(k, int):
-            return NotImplemented
-        return HalfInt(self.twice * k)
-
-    __rmul__ = __mul__
 
     def __bool__(self) -> bool:
         return self.twice != 0

@@ -12,12 +12,12 @@ from __future__ import annotations
 import csv
 import math
 
-from .asymptotics import asym_for_scaled, asym_standard
+from .asymptotics import _running_sum, asym_for_scaled, asym_standard
 from .errors import InsufficientExtremaError, SixjError
 from .exact import ScaledFloat
 from .geometry import tet_from_spins
 from .record import Record
-from .symbols import _check_cost, sixj_exact, sixj_super_exact
+from .symbols import _brackets, _check_cost, sixj_exact, sixj_super_exact
 from .triangles import SpinSextuple, _check, _sums
 
 CSV_COLUMNS = (
@@ -91,10 +91,11 @@ def scan(s: SpinSextuple, kind: str, k_list: list[int]) -> list[ScanRecord]:
         _check(*_sums(s.scaled(ks[0]).doubled()), "su2" if kind == "su2" else "osp12")
     except SixjError as exc:
         raise type(exc)(f"k={ks[0]}: {exc}") from exc
-    v, p = _sums(s.doubled())  # the kernel's cost, summed: at k, w = (k v + 1)//2, m = (k p + 1)//2
-    lo, hi, top, spent = max(v), min(p), max(p), 0
+    v, p = _sums(s.doubled())  # the kernel's cost, summed over every k
+    spent = 0
     for k in ks:
-        spent = _check_cost((k * hi + 1) // 2 - (k * lo + 1) // 2 + 1, (k * top + 1) // 2 + 1, spent)
+        w, m = _brackets(v, p, k)
+        spent = _check_cost(min(m) - max(w) + 1, max(m) + 1, spent)
     geo = tet_from_spins(s)
     records = []
     for k in ks:
@@ -150,14 +151,14 @@ def envelope_slope(records: list[ScanRecord]) -> SlopeFit:
         raise InsufficientExtremaError("envelope fit needs local maxima at distinct log k")
     ys = [r.exact.abs_ln() for r in peaks]
     n = len(xs)
-    xbar = sum(xs) / n
-    ybar = sum(ys) / n
-    sxx = sum((x - xbar) ** 2 for x in xs)
-    sxy = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    xbar = _running_sum(xs) / n
+    ybar = _running_sum(ys) / n
+    sxx = _running_sum((x - xbar) ** 2 for x in xs)
+    sxy = _running_sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
     slope = sxy / sxx
     intercept = ybar - slope * xbar
-    ss_res = sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = sum((y - ybar) ** 2 for y in ys)
+    ss_res = _running_sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
+    ss_tot = _running_sum((y - ybar) ** 2 for y in ys)
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return SlopeFit(slope, intercept, r2, n)
 

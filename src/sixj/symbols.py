@@ -17,18 +17,15 @@ ints; its factorial head enters as exponent vectors, with the prefactor's.
 
 Both evaluators run one pipeline on the doubled spins d = (2j1, ..., 2J3),
 read once from the sextuple: doubled triangle data and admissibility from
-the ``triangles`` core, the parity monomial scaled by 4 to integers, the
-frontal sign from sum d_i d_(i+3) and the prefactor arguments (p_j - v_i)//2
-and (v_i + 1)//2.  No HalfInt or Fraction is built before the sum.
+the ``triangles`` core, the sum's range from ``_brackets``, the parity
+monomial scaled by 4 to integers, the frontal sign from sum d_i d_(i+3) and
+the prefactor arguments (p_j - v_i)//2 and (v_i + 1)//2.  No HalfInt or
+Fraction is built before the sum.
 """
 
 from __future__ import annotations
 
-import warnings
-
-from .errors import EmptySumWarning, ShiftViolation
 from .exact import ExactSymbol, factorial_symbol
-from .halfint import HalfInt
 from .triangles import Parity, SpinSextuple, _beta_split, _check, _jj, _sums
 
 
@@ -51,30 +48,30 @@ def _monomial4(parity: Parity, d, beta) -> tuple[int, int]:
 
 
 def _super_prefactor_args(v, p) -> tuple[list[int], list[int]]:
-    """Numerator and denominator factorial arguments of the parity prefactor.
-
-    From doubled sums (v, p).  Numerator: floor(p_j - v_i) over the twelve
-    pairs; denominator: floor(v_i + 1/2) over the four triangles.  Every
-    argument must be a non-negative integer, otherwise the parity data is
-    inconsistent.
-    """
-    if min(p) < max(v):
-        d = next(pj - vi for pj in p for vi in v if pj < vi)
-        raise ShiftViolation(f"prefactor argument p - v = {HalfInt(d)} is negative")
+    """The parity prefactor's factorial arguments from doubled sums (v, p), p_j >= v_i:
+    numerators floor(p_j - v_i) over the twelve pairs, denominators floor(v_i + 1/2)."""
     return [(pj - vi) // 2 for pj in p for vi in v], [(vi + 1) // 2 for vi in v]
 
 
-# Estimated cost (terms + 3000) n log2 n, n - 1 the largest factorial argument:
-# the kernel's ints reach about n log2 n bits.  The 3000-term weight was sized
-# on a full-factorial head the kernel no longer builds, so the bound is now
-# conservative for few terms.  At it, with that head, all-ones SU(2) at
-# k = 51200 and {N N 0; N N 0} at N = 757000 took 56 s and 59 s on one core.
-MAX_EXACT_COST = 2 * 10**11
+def _brackets(v, p, k: int = 1) -> tuple[list[int], list[int]]:
+    """The kernel's w and m, floor(k v_i/2 + 1/2) and floor(k p_j/2 + 1/2), for k
+    times the sextuple of doubled sums (v, p); k v_i/2 and k p_j/2 when integers, as in SU(2)."""
+    return [(k * x + 1) // 2 for x in v], [(k * x + 1) // 2 for x in p]
+
+
+# Estimated cost (terms + 1000) n log2 n, n = max(m) + 1 bounding every
+# factorial argument: the kernel's ints reach about n log2 n bits, and the
+# sieve and the Legendre sums past the table take time and memory in
+# proportion to n.  At the bound, all-ones SU(2) at k = 64051 takes about
+# 63 s on one core; one term takes 2 s or less and under 75 MB peak RSS
+# ({0 0 0; N N N} at N = 6243755: 70 MB; {N N 0; N N 0} at N = 3121877:
+# 43 MB).  Memory limits few terms, and the weight sets that limit.
+MAX_EXACT_COST = 3 * 10**11
 
 
 def _check_cost(terms: int, n: int, spent: int = 0) -> int:
     """spent plus the estimated cost of a kernel call; ValueError past MAX_EXACT_COST."""
-    spent += (terms + 3000) * n * n.bit_length()
+    spent += (terms + 1000) * n * n.bit_length()
     if spent > MAX_EXACT_COST:
         raise ValueError("spins are too large for exact evaluation")
     return spent
@@ -118,8 +115,7 @@ def sixj_exact(s: SpinSextuple) -> ExactSymbol:
     """Exact SU(2) 6j symbol as a canonical (coeff, radicand) pair."""
     v, p = _sums(s.doubled())
     _check(v, p, "su2")
-    w = [x // 2 for x in v]
-    m = [x // 2 for x in p]
+    w, m = _brackets(v, p)
     num = _alternating_sum(w, m, 1, 1)
     if num == 0:
         return ExactSymbol.zero()
@@ -131,19 +127,14 @@ def sixj_super_exact(s: SpinSextuple) -> ExactSymbol:
 
     Implements the single-sum form with integer-part brackets literally:
     t runs over the integers with floor(v_i + 1/2) <= t <= floor(p_j + 1/2)
-    for every i, j.  The range is never empty for admissible data; if a
-    hand-built input produces one, the exact value is zero and an
-    EmptySumWarning is emitted.
+    for every i, j.  The range is never empty: _check gives p_j >= v_i, and
+    then floor(p_j + 1/2) >= floor(v_i + 1/2).
     """
     d = s.doubled()
     v, p = _sums(d)
     parity = _check(v, p, "osp12")
     beta = _beta_split(d, v, p) if parity is Parity.BETA else None
-    w = [(x + 1) // 2 for x in v]
-    m = [(x + 1) // 2 for x in p]
-    if max(w) > min(m):
-        warnings.warn("empty summation range; exact value is 0", EmptySumWarning)
-        return ExactSymbol.zero()
+    w, m = _brackets(v, p)
     # the sum runs with 4x the monomial, whose coefficients are then integers
     num = _alternating_sum(w, m, *_monomial4(parity, d, beta))
     if num == 0:

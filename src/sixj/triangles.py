@@ -18,12 +18,13 @@ once: ``of`` and ``parse`` validate straight into that tuple, ``scaled``
 multiplies it, and the ``HalfInt`` fields j1 ... J3 and ``spins`` are views.
 Every rule runs on those plain ints: ``_sums`` gives the doubled v and p,
 ``_check``, ``_parity`` and ``_beta_split`` the admissibility, parity and
-beta bookkeeping, ``_jj`` the opposite-edge product sum 4 sum j*J.  The exact
-evaluators, the geometry and the asymptotics call that core directly and
-build no HalfInt.  ``TriangleData``, ``triangle_sums``, ``check_admissible``
-and ``classify_parity`` give the same rules in HalfInt form for the
-``classify`` command; ``beta_decompose`` and ``rescale`` give the beta split
-and the parity of k*s in that form.
+beta bookkeeping, ``_jj`` the opposite-edge product sum 4 sum j*J.  Every
+program path (the exact evaluators, the geometry, the asymptotics and the
+``classify`` command) calls that core directly and builds no HalfInt; its
+messages print doubled ints with ``_half_text``.  ``TriangleData``,
+``triangle_sums``, ``check_admissible``, ``is_admissible`` and
+``classify_parity`` give the same rules in HalfInt form, and
+``beta_decompose`` and ``rescale`` the beta split and the parity of k*s.
 """
 
 from __future__ import annotations
@@ -173,13 +174,13 @@ def _check(v, p, algebra: str) -> Parity:
     if min(p) < max(v):
         pj, vi = next((pj, vi) for pj in p for vi in v if pj < vi)
         raise TriangleViolation(
-            f"triangular inequality fails: p={HalfInt(pj)} < v={HalfInt(vi)}"
+            f"triangular inequality fails: p={_half_text(pj)} < v={_half_text(vi)}"
         )
     n_int = _integer_count(v)
     if algebra == "su2":
         if n_int != 4:
             raise IntegralityViolation(
-                f"su2 requires integer triangle sums, got v={tuple(str(HalfInt(x)) for x in v)}"
+                f"su2 requires integer triangle sums, got v={tuple(map(_half_text, v))}"
             )
     elif algebra != "osp12":
         raise ValueError(f"unknown algebra {algebra!r}")
@@ -282,7 +283,7 @@ def _beta_split(d, v, p) -> tuple[int, ...]:
     if lhs != rhs or lhs != 2 * jstar:
         raise ValueError(
             "inconsistent beta decomposition: the two doubled-jstar formulas disagree "
-            f"({HalfInt(lhs)} vs {HalfInt(rhs)} vs 2*{HalfInt(jstar)})"
+            f"({_half_text(lhs)} vs {_half_text(rhs)} vs 2*{_half_text(jstar)})"
         )
     if P % 2 or V % 2 or Vp % 2:
         raise ValueError("beta decomposition produced a non-integer p or v; caller bug")

@@ -245,7 +245,7 @@ class TestAsymBeta:
     def test_sign_parity(self):
         t = triangle_sums(BETA_EUCLIDEAN)
         bd = beta_decompose(BETA_EUCLIDEAN, t)
-        assert int(bd.v + bd.v_prime - bd.p) % 2 == 1  # 4 + 4 - 5
+        assert (bd.v.twice + bd.v_prime.twice - bd.p.twice) // 2 % 2 == 1  # 4 + 4 - 5
         geo = tet_from_spins(BETA_EUCLIDEAN)
         res = asym_beta(BETA_EUCLIDEAN, 21, geo)
         _, psi = shift(Parity.BETA, BETA_EUCLIDEAN, geo)

@@ -2,6 +2,8 @@ import contextlib
 import importlib
 import io
 import json
+import os
+import tempfile
 from fractions import Fraction
 from unittest import mock
 
@@ -306,6 +308,13 @@ class TestInputBoundary:
         code, out, err = run(capsys, "eval", "--kind", kind, *spins)
         assert (code, out, err) == (2, "", "error: spins are too large for exact evaluation\n")
 
+    @pytest.mark.parametrize("kind, coeff", [("su2", "1/1516001"), ("super", "1")])
+    def test_eval_of_one_term_with_large_factorials_runs(self, capsys, kind, coeff):
+        # {N N 0; N N 0}, 1/(2N + 1) for SU(2): one term, factorials up to 2N + 1, 0.3 s
+        code, out, err = run(capsys, "eval", "--kind", kind, *("758000 758000 0 " * 2).split())
+        assert (code, err) == (0, "")
+        assert out.startswith(f"coeff     {coeff}\nradicand  1\n")
+
     @pytest.mark.parametrize("kind, spins", [("su2", ("1",) * 6), ("super", HALVES)])
     def test_scan_checks_the_largest_k_before_any_evaluation(self, capsys, monkeypatch, kind, spins):
         monkeypatch.setattr("sixj.symbols.MAX_EXACT_COST", 10**6)
@@ -424,6 +433,91 @@ class TestFuzzClassify:
             assert out.getvalue().startswith("parity    ") and not err.getvalue()
         else:
             assert err.getvalue()
+
+
+# spins for eval and scan: admissible small ones (weighted up), six equal, large and junk
+SMALL_SPINS = st.one_of(
+    st.sampled_from(["1 1 1 1 1 1", "1/2 1/2 1/2 1/2 1/2 1/2", "1 3/2 3/2 3/2 3/2 1", "3 2 2 2 3 2"]).map(str.split),
+    st.integers(0, 20).map(lambda d: [str(d // 2) if d % 2 == 0 else f"{d}/2"] * 6),
+)
+EXACT_SPINS = st.one_of(
+    SMALL_SPINS, SMALL_SPINS, SMALL_SPINS,
+    BIG_HALF_SPIN.map(lambda t: [t] * 6),
+    st.lists(HALF_SPIN, min_size=6, max_size=6),
+    st.lists(BIG_HALF_SPIN, min_size=6, max_size=6),
+    st.lists(CLASSIFY_TOKEN, min_size=5, max_size=7),
+)
+SCAN_K_VALUE = st.one_of(
+    st.integers(1, 40).map(str), st.integers(-2, 10**6).map(str),
+    st.sampled_from([str(10**30), str(10**100)]), st.sampled_from(JUNK),
+)
+
+
+@st.composite
+def scan_k_options(draw):
+    """--k, or --k-from/--k-to with or without --k-step, or any mix of the four;
+    ranges of up to 10**6 values."""
+    small = draw(st.integers(0, 3)) > 0  # mostly a few small k
+    k_from = draw(st.integers(1, 30) if small else st.integers(-2, 10**6))
+    values = {
+        "--k": draw(SCAN_K_VALUE),
+        "--k-from": str(k_from),
+        "--k-to": str(k_from + draw(st.integers(-1, 30) if small else st.integers(-3, 10**6))),
+        "--k-step": str(draw(st.integers(1, 5))) if small else draw(st.one_of(SCAN_K_VALUE, st.just("0"))),
+    }
+    if small:
+        flags = draw(st.sampled_from([["--k"], ["--k-from", "--k-to"], ["--k-from", "--k-to", "--k-step"]]))
+    else:
+        flags = draw(st.lists(st.sampled_from(sorted(values)), unique=True))
+    return [token for flag in flags for token in (flag, values[flag])]
+
+
+def run_documented(argv) -> tuple[int, str]:
+    """Run argv and check the documented contract: an exit code in {0, 2, 3, 4},
+    no traceback, stdout only on success and an error otherwise; (code, stdout)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    assert code in (0, 2, 3, 4), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert not err.getvalue()
+    else:
+        assert not out.getvalue() and err.getvalue(), (argv, err.getvalue())
+    return code, out.getvalue()
+
+
+class TestFuzzExact:
+    """Every argv for eval and scan ends in a documented exit code, never a traceback.
+
+    The cost bound is patched low, so that no example evaluates for long.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["su2", "super"]), spins=EXACT_SPINS, separator=st.booleans())
+    def test_eval_exit_code_documented(self, kind, spins, separator):
+        with mock.patch("sixj.symbols.MAX_EXACT_COST", 10**7):
+            code, out = run_documented(["eval", "--kind", kind, *(["--"] if separator else []), *spins])
+        assert code != 0 or out.startswith("coeff     ")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["su2", "super"]),
+        k_options=scan_k_options(),
+        spins=st.one_of(SMALL_SPINS, EXACT_SPINS),
+        out_file=st.sampled_from([None, "out.csv", "missing/out.csv"]),
+        json_format=st.booleans(),
+    )
+    def test_scan_exit_code_documented(self, kind, k_options, spins, out_file, json_format):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch("sixj.symbols.MAX_EXACT_COST", 10**7):
+            path = out_file and os.path.join(tmp, out_file)
+            argv = ["scan", "--kind", kind, *k_options, *(["--format", "json"] if json_format else [])]
+            argv += [*(["--out", path] if path else []), "--", *spins]
+            code, out = run_documented(argv)
+            if path:  # the file, and only the file, on success
+                assert os.path.exists(path) == (code == 0) and not out, argv
+            elif code == 0:
+                assert out.startswith(("[", "k,parity,")), argv
 
 
 CSV_HEADER = "k,parity,exact_mantissa,exact_exp2,exact_float,asym,abs_err,amplitude,angle".split(",")

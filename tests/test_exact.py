@@ -9,22 +9,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sixj import ExactSymbol, ScaledFloat, SpinSextuple, exact, sixj_exact, sixj_super_exact, symbols
-from sixj.exact import exact_to_scaled, factorial, factorial_symbol, primes_up_to, squarefree_split
+from sixj.exact import exact_to_scaled, factorial_symbol, primes_up_to, squarefree_split
 from sixj.symbols import _alternating_sum, _symbol
 from oracles import primes_by_trial_division
 
 
+def _scaled(q: Fraction) -> ScaledFloat:
+    """The ScaledFloat of a rational: exact_to_scaled with radicand 1 rounds q once."""
+    return exact_to_scaled(ExactSymbol(q, Fraction(1)))
+
+
 def test_factorial_basics():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
+    # the package's n! is the coefficient factorial_symbol builds from row n
+    assert factorial_symbol(1, [], [], [0], [], 1) == ExactSymbol(Fraction(1), Fraction(1))
+    assert factorial_symbol(1, [], [], [5], [], 1) == ExactSymbol(Fraction(120), Fraction(1))
     with pytest.raises(ValueError):
-        factorial(-1)
+        math.factorial(-1)
 
 
 def test_factorial_trailing_zeros_matches_legendre():
     # the table's exponents of sqrt(50! 50!) give back 50!
     value = factorial_symbol(1, [50, 50], [], [], [], 1)
-    assert value == ExactSymbol(Fraction(factorial(50)), Fraction(1))
+    assert value == ExactSymbol(Fraction(math.factorial(50)), Fraction(1))
     # power of 5 in 50! by Legendre's formula gives the trailing-zero count
     zeros = 50 // 5 + 50 // 25
     assert zeros == 12
@@ -40,7 +46,7 @@ def test_factorial_table_consistent():
     for n in (1, 7, 19, 30):
         assert table[n] == (-1) ** n
         value = _symbol(table[n], [n] * 4, [n] * 3, [], [], 1)
-        assert value == ExactSymbol(Fraction((-1) ** n * factorial(n)), Fraction(1))
+        assert value == ExactSymbol(Fraction((-1) ** n * math.factorial(n)), Fraction(1))
 
 
 def test_squarefree_split():
@@ -125,7 +131,7 @@ class TestScaledFloat:
         rng = random.Random(21)
         for _ in range(2000):
             q = Fraction(rng.randint(-(10**12), 10**12), rng.randint(1, 10**12))
-            got = ScaledFloat.from_fraction(q).to_float()
+            got = _scaled(q).to_float()
             want = float(q)
             assert got == want or abs(got - want) <= 2 * math.ulp(abs(want))
 
@@ -133,18 +139,17 @@ class TestScaledFloat:
         rng = random.Random(22)
         for _ in range(500):
             x = rng.uniform(-1e6, 1e6)
-            assert ScaledFloat.from_float(x).to_float() == x
+            assert _scaled(Fraction(x)).to_float() == x
 
     def test_huge_magnitudes_saturate_but_keep_logs(self):
-        big = ScaledFloat.from_fraction(Fraction(factorial(500), 1))
+        big = _scaled(Fraction(math.factorial(500), 1))
         assert big.to_float() == math.inf
         ref = sum(math.log2(n) for n in range(2, 501))
         assert abs(big.abs_log2() - ref) < 1e-9 * ref
 
     def test_large_factorial_ratio_matches_lgamma(self):
-        value = ExactSymbol(
-            Fraction(factorial(4000), factorial(2500) * factorial(1200)), Fraction(1)
-        )
+        f = math.factorial
+        value = ExactSymbol(Fraction(f(4000), f(2500) * f(1200)), Fraction(1))
         got = value.to_scaled().abs_ln()
         want = math.lgamma(4001) - math.lgamma(2501) - math.lgamma(1201)
         assert abs(got - want) <= 1e-12 * abs(want)
@@ -159,7 +164,7 @@ class TestScaledFloat:
         def reference(coeff, radicand):
             n = coeff.numerator * math.isqrt((radicand.numerator * radicand.denominator) << 384)
             d = (coeff.denominator * radicand.denominator) << 192
-            return ScaledFloat.from_fraction(Fraction(n, d))
+            return _scaled(Fraction(n, d))
 
         rng = random.Random(23)
         for _ in range(1000):
@@ -176,7 +181,7 @@ class TestScaledFloat:
     def test_power_of_two_values_exact(self):
         for e in (-1074, -600, -52, 0, 52, 600, 1023):
             q = Fraction(2) ** e
-            assert ScaledFloat.from_fraction(q) == ScaledFloat(1.0, e)
+            assert _scaled(q) == ScaledFloat(1.0, e)
 
 
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]

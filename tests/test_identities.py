@@ -16,6 +16,16 @@ The Racah sum rule (same chapter):
 
 is summed in the same way, per radicand of the products, and the totals
 must equal the right side's canonical (coeff, radicand), or vanish with it.
+
+The Biedenharn-Elliott identity (same chapter; Edmonds 1957, eq. 6.2.12):
+
+    sum_x (-1)^(S+x) (2x+1) {a b x; c d p} {c d x; e f q} {e f x; b a r}
+        = {p q r; e a d} {p q r; f b c},    S = a+b+c+d+e+f+p+q+r,
+
+groups the products of three symbols by their square-free radicand in the
+same way; the right side is the canonical product of two.  This form was
+checked against ``sympy.physics.wigner.wigner_6j`` on the same tuples before
+it was coded here.
 """
 
 import itertools
@@ -27,6 +37,7 @@ from sixj.triangles import is_admissible
 
 MAX_TWICE = 6  # every given spin <= 3; x runs past it, up to j1 + j2
 MAX_TWICE_RACAH = 3  # every given spin <= 3/2: 4096 tuples, x up to a + b
+MAX_TWICE_BE = 3  # every given spin <= 3/2: 262144 tuples, x up to a + b
 
 
 def _triangle(a: int, b: int, c: int) -> bool:
@@ -83,3 +94,29 @@ def test_racah_sum_rule_on_every_spin_up_to_3_2():
         assert total == ({} if rhs is None or rhs.is_zero else {rhs.radicand: rhs.coeff}), (a, b, c, d, p, q)
         nonzero += bool(total)
     assert nonzero == 181
+
+
+def test_biedenharn_elliott_on_every_spin_up_to_3_2():
+    six = _memoised_sixj()
+    nonzero = 0
+    for a, b, c, d, e, f, p, q, r in itertools.product(range(MAX_TWICE_BE + 1), repeat=9):
+        by_radicand = defaultdict(Fraction)
+        for x in range(abs(a - b), a + b + 1, 2):
+            factors = six((a, b, x, c, d, p)), six((c, d, x, e, f, q)), six((e, f, x, b, a, r))
+            if None in factors:
+                continue
+            s_plus_x = a + b + c + d + e + f + p + q + r + x  # doubled
+            assert s_plus_x % 2 == 0  # an integer when all three are admissible
+            coeff, radicand = (-1) ** (s_plus_x // 2) * (x + 1), Fraction(1)
+            for value in factors:
+                coeff, radicand = coeff * value.coeff, radicand * value.radicand
+            term = ExactSymbol(coeff, radicand)
+            by_radicand[term.radicand] += term.coeff
+        total = {rad: sum_ for rad, sum_ in by_radicand.items() if sum_}
+        left, right = six((p, q, r, e, a, d)), six((p, q, r, f, b, c))
+        rhs = None if left is None or right is None else ExactSymbol(
+            left.coeff * right.coeff, left.radicand * right.radicand)
+        expected = {} if rhs is None or rhs.is_zero else {rhs.radicand: rhs.coeff}
+        assert total == expected, (a, b, c, d, e, f, p, q, r)
+        nonzero += bool(total)
+    assert nonzero == 1495

@@ -1,8 +1,9 @@
 """The package namespace is the public API that the README lists.
 
 ``sixj.__all__`` must equal the names of the README's "Public API" section,
-every listed name must resolve, and every ``sixj.<name>`` that the benchmark's
-passes (``perfbench/passes.py``) read must stay in it.
+whose count the README states; every listed name must resolve, and every
+``sixj.<name>`` that the benchmark's passes (``perfbench/passes.py``) read
+must stay in it.
 """
 
 import ast
@@ -26,6 +27,11 @@ def test_all_equals_readme_list():
     assert len(names) == len(set(names)), "a name is listed twice"
     assert sorted(sixj.__all__) == sorted(names)
     assert len(sixj.__all__) == len(set(sixj.__all__))
+
+
+def test_readme_states_the_count():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert f"`import sixj` binds exactly these {len(sixj.__all__)} names" in text
 
 
 def test_every_name_resolves():

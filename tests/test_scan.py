@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sixj import (
+    ExactSymbol,
     InsufficientExtremaError,
     ScaledFloat,
     ScanRecord,
@@ -18,6 +19,7 @@ from sixj import (
     write_csv,
     write_json,
 )
+from sixj.exact import exact_to_scaled
 from sixj.scan import MAX_SCAN_POINTS, k_range, local_maxima
 from sixj.triangles import _sums
 
@@ -29,11 +31,11 @@ ALL_HALVES = SpinSextuple.of(*([HALF] * 6))
 
 
 def estimated_cost(s: SpinSextuple) -> int:
-    """The kernel's cost estimate on s, (terms + 3000) n log2 n, by calculation."""
+    """The kernel's cost estimate on s, (terms + 1000) n log2 n, by calculation."""
     v, p = _sums(s.doubled())
     w, m = [(x + 1) // 2 for x in v], [(x + 1) // 2 for x in p]
     terms, n = min(m) - max(w) + 1, max(m) + 1
-    return (terms + 3000) * n * n.bit_length()
+    return (terms + 1000) * n * n.bit_length()
 
 
 def csv_text(records: list[ScanRecord]) -> str:
@@ -50,7 +52,7 @@ def synthetic_records(power: float, omega: float = 0.9, ks=range(5, 120)) -> lis
             ScanRecord(
                 k=k,
                 parity="su2",
-                exact=ScaledFloat.from_float(value),
+                exact=exact_to_scaled(ExactSymbol(Fraction(value), Fraction(1))),
                 asym=value,
                 abs_err=0.0,
                 amplitude=k**power,

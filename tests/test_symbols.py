@@ -8,12 +8,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sixj import (
-    EmptySumWarning,
     ExactSymbol,
     HalfInt,
     IntegralityViolation,
     Parity,
-    ShiftViolation,
     SpinSextuple,
     TriangleViolation,
     sixj_exact,
@@ -237,11 +235,6 @@ class TestPrefactors:
             assert value.squared() == Fraction(num, den) ** 2 * product
             assert (value.coeff > 0) == (num * den > 0)
 
-    def test_shift_violation_on_wrong_data(self):
-        s = SpinSextuple.of(2, HALF, HALF, HALF, HALF, 2)
-        with pytest.raises(ShiftViolation):
-            _super_prefactor_args(*triangle_sums(s).doubled())
-
     def test_standard_rejects_half_integer_triangles(self):
         # the SU(2) pipeline rejects half-integer triangle sums before any prefactor
         s = SpinSextuple.of(*([HALF] * 6))
@@ -293,13 +286,6 @@ class TestAlternatingSum:
 
     def test_empty_range_is_zero(self):
         assert _alternating_sum([5, 1, 1, 1], [4, 6, 6], 1, 1) == 0
-
-    def test_hand_built_empty_range_warns(self, monkeypatch):
-        # admissibility excludes empty ranges; bypass it to reach the guard
-        monkeypatch.setattr(symbols, "_check", lambda v, p, algebra: Parity.ALPHA)
-        s = SpinSextuple.of(4, 1, 1, 1, 1, 4)  # max floor(v + 1/2) = 9 > min floor(p + 1/2) = 7
-        with pytest.warns(EmptySumWarning):
-            assert sixj_super_exact(s) == ExactSymbol.zero()
 
     @pytest.mark.parametrize("k", [51, 101])
     @pytest.mark.parametrize("spins", [(1, 1, 1, 1, 1, 1), (1, 2, 2, 2, 1, 2)])
@@ -372,10 +358,12 @@ class TestCostBound:
     """The exact evaluation's cost bound, checked by calculation: no test here evaluates near it."""
 
     @pytest.mark.parametrize("spins, accepted, refused", [
-        # the two shapes the bound was sized on: many terms, and one term with large factorials
-        ((1, 1, 1, 1, 1, 1), 51200, 51300),
-        ((1, 1, 0, 1, 1, 0), 757000, 758000),
-        ((HALF,) * 6, 102400, 102600),  # all halves at 2k: the spins of all ones at k
+        # the shapes the bound was sized on, measured one process at a time: many terms
+        # (63 s at the bound), and one term with large factorials (2 s or less, under 75 MB)
+        ((1, 1, 1, 1, 1, 1), 64051, 64052),
+        ((1, 1, 0, 1, 1, 0), 3121877, 3121878),  # factorials up to 2N + 1 = n / 2
+        ((HALF,) * 6, 128102, 128104),  # all halves at 2k: the spins of all ones at k
+        ((0, 0, 0, 1, 1, 1), 6243755, 6243756),  # factorials up to 2N = n - 1
     ])
     def test_sized_on_the_calibration_shapes(self, spins, accepted, refused):
         base = SpinSextuple.of(*spins)
@@ -398,7 +386,7 @@ class TestCostBound:
         s = SpinSextuple.of(1, 1, 1, 1, 1, 1).scaled(11)
         terms, n = _cost_args(s)
         assert (terms, n) == (12, 45)
-        monkeypatch.setattr(symbols, "MAX_EXACT_COST", (terms + 3000) * n * n.bit_length())
+        monkeypatch.setattr(symbols, "MAX_EXACT_COST", (terms + 1000) * n * n.bit_length())
         assert sixj_exact(s) == racah_sixj([x.as_fraction() for x in s.spins])
         monkeypatch.setattr(symbols, "MAX_EXACT_COST", symbols.MAX_EXACT_COST - 1)
         with pytest.raises(ValueError):
