@@ -6,20 +6,12 @@ harness comparing the two.  The package namespace holds the public API that
 the README lists; everything else stays in its submodule.
 """
 
-from .asymptotics import (
-    AsymptoticResult,
-    asym_alpha,
-    asym_beta,
-    asym_for_scaled,
-    asym_gamma,
-    asym_standard,
-)
+from .asymptotics import AsymptoticResult, asym_for_scaled, asym_standard
 from .errors import (
     AdmissibilityError,
     DegenerateFactorError,
     InsufficientExtremaError,
     IntegralityViolation,
-    KParityError,
     NonEuclideanError,
     ParityViolation,
     SixjError,
@@ -43,7 +35,6 @@ __all__ = [
     "HalfInt",
     "InsufficientExtremaError",
     "IntegralityViolation",
-    "KParityError",
     "NonEuclideanError",
     "Parity",
     "ParityViolation",
@@ -55,10 +46,7 @@ __all__ = [
     "TetGeometry",
     "TriangleViolation",
     "UndefinedShiftError",
-    "asym_alpha",
-    "asym_beta",
     "asym_for_scaled",
-    "asym_gamma",
     "asym_standard",
     "discriminant_check",
     "envelope_slope",

@@ -24,9 +24,12 @@ the doubled spins:
 - the global sign is the exact evaluator's frontal sign: the angle gains pi
   when k * 4 sum j*J is odd.
 
-Even k always takes the alpha formula.  The two-term forms a cos(x) +
-b sin(x) are presented as N cos(x - psi) with a quadrant-correct
-psi = atan2(b, a).
+The router takes the parity of k*s from the exact evaluator's admissibility
+check, so even k always takes the alpha formula and an inadmissible k*s
+raises before any geometry; asym_alpha, asym_beta and asym_gamma route the
+same way and raise KParityError when k*s has another parity.  The
+two-term forms a cos(x) + b sin(x) are presented as N cos(x - psi) with a
+quadrant-correct psi = atan2(b, a).
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .geometry import TetGeometry, _saddle, tet_from_spins
 # bound here as well: perfbench/tracer.py resolves the saddle coefficients in this module
 from .geometry import saddle_coeff_a, saddle_coeff_b, saddle_coeff_c  # noqa: F401
 from .record import Record
-from .triangles import Parity, SpinSextuple, _beta_split, _check, _integer_count, _jj, _parity, _sums
+from .triangles import Parity, SpinSextuple, _beta_split, _check, _jj, _sums
 
 STANDARD = "standard"
 
@@ -118,8 +121,11 @@ def _beta_factors(v, p, split) -> tuple[float, float, float]:
     return front, mixed_half / mixed_int, area / 65536
 
 
-def _route(s: SpinSextuple, k: int, geo: TetGeometry | None, d, v, p, parity: Parity) -> AsymptoticResult:
-    """The one supersymmetric formula for a sextuple whose k-scaled parity is known."""
+def _route(s: SpinSextuple, k: int, geo: TetGeometry | None, want: Parity | None = None) -> AsymptoticResult:
+    """The one supersymmetric formula at the parity of k*s; KParityError unless it is want."""
+    d, v, p, parity = _scaled(s, k, "osp12")
+    if want not in (None, parity):
+        raise KParityError(f"{want.value} formula does not apply at k={k}: k*s has {parity.value} parity")
     geo = geo or tet_from_spins(s)
     split = _beta_split(d, v, p) if parity is Parity.BETA else None
     factors = _beta_factors(v, p, split) if split else None
@@ -145,17 +151,19 @@ def _float(n: int) -> float:
         raise ValueError("k is too large for the floating-point asymptotic formula") from None
 
 
-def _prepared(s: SpinSextuple, k: int):
-    """(d, v, p): the doubled spins and their sums, read once per call."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    d = s.doubled()
-    return (d, *_sums(d))
-
-
 def _check_scaled(v, p, k: int, algebra) -> Parity:
     """The exact evaluator's admissibility check of k*s, from the unscaled sums."""
     return _check([k * x for x in v], [k * x for x in p], algebra)
+
+
+def _scaled(s: SpinSextuple, k: int, algebra: str):
+    """(d, v, p, parity): the doubled spins and sums of s, and the parity of k*s by
+    _check_scaled, so an inadmissible k*s raises before any geometry."""
+    if k < 1:
+        raise ValueError(f"scale factor must be a positive integer, got {k}")
+    d = s.doubled()
+    v, p = _sums(d)
+    return d, v, p, _check_scaled(v, p, k, algebra)
 
 
 def asym_standard(s: SpinSextuple, k: int, geo: TetGeometry | None = None) -> AsymptoticResult:
@@ -164,12 +172,23 @@ def asym_standard(s: SpinSextuple, k: int, geo: TetGeometry | None = None) -> As
     Raises the AdmissibilityError of the exact evaluator unless the rescaled
     sextuple k*s is SU(2)-admissible.
     """
-    d, v, p = _prepared(s, k)
-    _check_scaled(v, p, k, "su2")
+    d = _scaled(s, k, "su2")[0]
     geo = geo or tet_from_spins(s)
     amplitude = 1.0 / math.sqrt(12.0 * math.pi * _float(k**3) * geo.volume)
     angle = 0.25 * math.pi + _phase(d, k, geo.theta_ext)
     return AsymptoticResult(amplitude, angle, amplitude * math.cos(angle), STANDARD)
+
+
+def asym_for_scaled(s: SpinSextuple, k: int, geo: TetGeometry | None = None) -> AsymptoticResult:
+    """Route a supersymmetric sextuple to the formula matching the parity of k*s.
+
+    Raises the AdmissibilityError of the exact evaluator unless the rescaled
+    sextuple k*s is OSP(1|2)-admissible, before any geometry is built.
+    """
+    return _route(s, k, geo)
+
+
+# no program path calls the per-parity entries; perfbench/tracer.py names them
 
 
 def asym_alpha(s: SpinSextuple, k: int, geo: TetGeometry | None = None) -> AsymptoticResult:
@@ -177,19 +196,7 @@ def asym_alpha(s: SpinSextuple, k: int, geo: TetGeometry | None = None) -> Asymp
 
     N_alpha * cos(pi/4 + phi_k - psi_alpha) / (sqrt(48 pi k V) sqrt(prod v_i)).
     """
-    d, v, p = _prepared(s, k)
-    if k % 2 and _parity(_integer_count(v)) is not Parity.ALPHA:
-        raise KParityError("odd-k alpha formula needs an alpha-parity sextuple")
-    return _route(s, k, geo, d, v, p, Parity.ALPHA)
-
-
-def _odd_k(s: SpinSextuple, k: int, geo: TetGeometry | None, parity: Parity) -> AsymptoticResult:
-    d, v, p = _prepared(s, k)
-    if k % 2 == 0:
-        raise KParityError(f"{parity.value} formula holds for odd k; use the alpha formula for even k")
-    if _parity(_integer_count(v)) is not parity:
-        raise KParityError(f"{parity.value} formula needs a {parity.value}-parity sextuple")
-    return _route(s, k, geo, d, v, p, parity)
+    return _route(s, k, geo, Parity.ALPHA)
 
 
 def asym_gamma(s: SpinSextuple, k: int, geo: TetGeometry | None = None) -> AsymptoticResult:
@@ -204,7 +211,7 @@ def asym_gamma(s: SpinSextuple, k: int, geo: TetGeometry | None = None) -> Asymp
     the exact evaluator confirms it (the envelope ratio converges to 1 with
     the factor and to sqrt(prod v_i) without it).
     """
-    return _odd_k(s, k, geo, Parity.GAMMA)
+    return _route(s, k, geo, Parity.GAMMA)
 
 
 def asym_beta(s: SpinSextuple, k: int, geo: TetGeometry | None = None) -> AsymptoticResult:
@@ -215,17 +222,4 @@ def asym_beta(s: SpinSextuple, k: int, geo: TetGeometry | None = None) -> Asympt
     over the six mixed quadrangle-triangle differences, and the shifted
     cosine with the beta phase (the jstar edge carries an extra half angle).
     """
-    return _odd_k(s, k, geo, Parity.BETA)
-
-
-def asym_for_scaled(s: SpinSextuple, k: int, geo: TetGeometry | None = None) -> AsymptoticResult:
-    """Route a supersymmetric sextuple to the formula matching the parity of k*s.
-
-    Raises the AdmissibilityError of the exact evaluator unless the rescaled
-    sextuple k*s is OSP(1|2)-admissible, before any geometry is built.
-    """
-    if k < 1:
-        raise ValueError(f"scale factor must be a positive integer, got {k}")
-    d = s.doubled()
-    v, p = _sums(d)
-    return _route(s, k, geo, d, v, p, _check_scaled(v, p, k, "osp12"))
+    return _route(s, k, geo, Parity.BETA)

@@ -16,7 +16,6 @@ from .errors import (
     AdmissibilityError,
     DegenerateFactorError,
     InsufficientExtremaError,
-    KParityError,
     NonEuclideanError,
     UndefinedShiftError,
 )
@@ -93,7 +92,7 @@ def cli_main(argv: list[str] | None = None) -> int:
 
     try:
         return _dispatch(args)
-    except (AdmissibilityError, KParityError) as exc:
+    except AdmissibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ADMISSIBILITY
     except (NonEuclideanError, DegenerateFactorError, UndefinedShiftError) as exc:

@@ -28,7 +28,7 @@ class NonEuclideanError(SixjError):
 
 
 class KParityError(SixjError):
-    """An odd-k asymptotic formula was requested with an even scaling factor."""
+    """A per-parity asymptotic formula was asked for at a k where k*s has another parity."""
 
 
 class DegenerateFactorError(SixjError):

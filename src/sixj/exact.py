@@ -2,10 +2,10 @@
 
 Symbol evaluations produce a rational sum times the square root of a rational
 prefactor.  ``ExactSymbol`` keeps both parts exactly, normalised so that the
-radicand carries no square factor: equality is then plain componentwise
-comparison.  ``ScaledFloat`` is a sign/mantissa/exponent triple that survives
-conversions whose intermediate numerators and denominators overflow any
-native float by thousands of orders of magnitude.
+radicand carries no square factor, and compares by value.  ``ScaledFloat``
+is a sign/mantissa/exponent triple that survives conversions whose
+intermediate numerators and denominators overflow any native float by
+thousands of orders of magnitude.
 
 ``factorial_symbol`` builds a value from the prime-exponent vectors of its
 factorials, summed from a table of packed n! vectors up to ``_FACT_CAP`` and
@@ -143,8 +143,8 @@ class ExactSymbol(Record):
 
     Canonical means: radicand >= 0 with square-free numerator and square-free
     denominator (square parts absorbed into coeff), and radicand == 1 whenever
-    coeff == 0.  The constructor canonicalises, so equality of two instances
-    is componentwise equality of (coeff, radicand).
+    coeff == 0.  A prime may still sit under the root on either side, as in
+    sqrt(1/2) and sqrt(2)/2, so ``==`` and ``hash`` compare by value.
     """
 
     __slots__ = ("coeff", "radicand")
@@ -164,6 +164,11 @@ class ExactSymbol(Record):
             radicand = Fraction(fn, fd)
         object.__setattr__(self, "coeff", Fraction(coeff))
         object.__setattr__(self, "radicand", radicand)
+
+    def _values(self) -> tuple:
+        # sqrt(n/d) = sqrt(n*d)/d, and n*d is square-free: one pair per value
+        d = self.radicand.denominator
+        return self.coeff / d, self.radicand.numerator * d
 
     # -- constructors ------------------------------------------------------
 

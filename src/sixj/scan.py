@@ -12,13 +12,13 @@ from __future__ import annotations
 import csv
 import math
 
-from .asymptotics import _running_sum, asym_for_scaled, asym_standard
+from .asymptotics import _check_scaled, _running_sum, asym_for_scaled, asym_standard
 from .errors import InsufficientExtremaError, SixjError
 from .exact import ScaledFloat
 from .geometry import tet_from_spins
 from .record import Record
 from .symbols import _brackets, _check_cost, sixj_exact, sixj_super_exact
-from .triangles import SpinSextuple, _check, _sums
+from .triangles import SpinSextuple, _sums
 
 CSV_COLUMNS = (
     "k",
@@ -86,13 +86,13 @@ def scan(s: SpinSextuple, kind: str, k_list: list[int]) -> list[ScanRecord]:
         raise ValueError("scan k values must be strictly ascending")
     if not ks:
         return []
+    v, p = _sums(s.doubled())
     # as eval would at the first k: admissibility before any geometry error
     try:
-        _check(*_sums(s.scaled(ks[0]).doubled()), "su2" if kind == "su2" else "osp12")
+        _check_scaled(v, p, ks[0], "su2" if kind == "su2" else "osp12")
     except SixjError as exc:
         raise type(exc)(f"k={ks[0]}: {exc}") from exc
-    v, p = _sums(s.doubled())  # the kernel's cost, summed over every k
-    spent = 0
+    spent = 0  # the kernel's cost, summed over every k
     for k in ks:
         w, m = _brackets(v, p, k)
         spent = _check_cost(min(m) - max(w) + 1, max(m) + 1, spent)

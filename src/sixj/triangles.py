@@ -264,30 +264,14 @@ _COMPANION_SLOT = {0: 3, 1: 4, 2: 5, 3: 0, 4: 1, 5: 2}
 
 
 def _beta_split(d, v, p) -> tuple[int, ...]:
-    """beta_decompose on doubled spins d and sums (v, p).
+    """The beta split of doubled spins d whose sums (v, p), from _sums, have beta parity.
 
     Returns (v, v', vbar, vbar', p, pbar, pbar', jstar) doubled, then the
     jstar slot.
     """
     mask = (v[0] & 1) | (v[1] & 1) << 1 | (v[2] & 1) << 2 | (v[3] & 1) << 3
-    row = _BETA_TABLE.get(mask)
-    if row is None:
-        raise ParityViolation(
-            "beta decomposition needs exactly two half-integer triangles, "
-            f"got {4 - _integer_count(v)}"
-        )
-    (vb0, vb1), slot, p_idx, (vi0, vi1), (pb0, pb1) = row
-    split = (v[vi0], v[vi1], v[vb0], v[vb1], p[p_idx], p[pb0], p[pb1], d[slot], slot)
-    V, Vp, Vb, Vbp, P, Pb, Pbp, jstar, _ = split
-    lhs, rhs = Pb + Pbp - V - Vp, Vb + Vbp - P
-    if lhs != rhs or lhs != 2 * jstar:
-        raise ValueError(
-            "inconsistent beta decomposition: the two doubled-jstar formulas disagree "
-            f"({_half_text(lhs)} vs {_half_text(rhs)} vs 2*{_half_text(jstar)})"
-        )
-    if P % 2 or V % 2 or Vp % 2:
-        raise ValueError("beta decomposition produced a non-integer p or v; caller bug")
-    return split
+    (vb0, vb1), slot, p_idx, (vi0, vi1), (pb0, pb1) = _BETA_TABLE[mask]
+    return (v[vi0], v[vi1], v[vb0], v[vb1], p[p_idx], p[pb0], p[pb1], d[slot], slot)
 
 
 def beta_decompose(s: SpinSextuple, t: TriangleData) -> BetaDecomposition:
@@ -295,10 +279,22 @@ def beta_decompose(s: SpinSextuple, t: TriangleData) -> BetaDecomposition:
 
     Both identities 2*jstar = pbar + pbar' - v - v' = vbar + vbar' - p must
     agree; a mismatch indicates inconsistent inputs and raises ValueError.
+    The mask makes v and v' integers, and the identities then make p one.
     """
-    *halves, slot = _beta_split(s.doubled(), *t.doubled())
+    v, p = t.doubled()
+    halves = 4 - _integer_count(v)
+    if halves != 2:
+        raise ParityViolation(f"beta decomposition needs exactly two half-integer triangles, got {halves}")
+    *split, slot = _beta_split(s.doubled(), v, p)
+    V, Vp, Vb, Vbp, P, Pb, Pbp, jstar = split
+    lhs, rhs = Pb + Pbp - V - Vp, Vb + Vbp - P
+    if lhs != rhs or lhs != 2 * jstar:
+        raise ValueError(
+            "inconsistent beta decomposition: the two doubled-jstar formulas disagree "
+            f"({_half_text(lhs)} vs {_half_text(rhs)} vs 2*{_half_text(jstar)})"
+        )
     companion = s.spins[_COMPANION_SLOT[slot]]
-    return BetaDecomposition(*map(HalfInt, halves), companion, slot)
+    return BetaDecomposition(*map(HalfInt, split), companion, slot)
 
 
 def rescale(s: SpinSextuple, k: int) -> tuple[SpinSextuple, Parity]:

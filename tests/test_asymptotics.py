@@ -4,19 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from sixj import (
-    IntegralityViolation,
-    KParityError,
-    Parity,
-    SpinSextuple,
-    asym_alpha,
-    asym_beta,
-    asym_for_scaled,
-    asym_gamma,
-    asym_standard,
-    tet_from_spins,
-)
-from sixj.asymptotics import _polar
+from sixj import IntegralityViolation, Parity, SpinSextuple, SixjError, TriangleViolation, tet_from_spins
+from sixj.asymptotics import _polar, asym_alpha, asym_beta, asym_for_scaled, asym_gamma, asym_standard
+from sixj.errors import KParityError
 from sixj.geometry import saddle_coeff_a, saddle_coeff_b, saddle_coeff_c
 from sixj.triangles import beta_decompose, triangle_sums
 from cores import phase, shift
@@ -285,6 +275,67 @@ class TestRouting:
         assert asym_for_scaled(ALL_HALVES, 7).parity_used == "gamma"
         assert asym_for_scaled(BETA_EUCLIDEAN, 7).parity_used == "beta"
         assert asym_for_scaled(ALL_ONES, 7).parity_used == "alpha"
+
+
+ENTRIES = [asym_standard, asym_for_scaled, asym_alpha, asym_beta, asym_gamma]
+PER_PARITY = {asym_alpha: "alpha", asym_beta: "beta", asym_gamma: "gamma"}
+
+
+def _outcome(entry, s, k):
+    try:
+        return repr(entry(s, k))
+    except SixjError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda f: f.__name__)
+class TestOneGate:
+    """Every entry checks k >= 1, then the admissibility of k*s, then builds geometry."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("text", ["4 1 1 1 1 4", "1/2 1/2 3/2 1/2 5/2 3/2"])
+    def test_triangle_violation_before_geometry(self, entry, text, k):
+        # both sextuples are also non-Euclidean
+        with pytest.raises(TriangleViolation):
+            entry(SpinSextuple.parse(text.split()), k)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_has_one_message(self, entry, k):
+        with pytest.raises(ValueError, match=f"^scale factor must be a positive integer, got {k}$"):
+            entry(ALL_ONES, k)
+
+
+@pytest.mark.parametrize(
+    "entry, s, k, parity",
+    [
+        (asym_beta, ALL_ONES, 3, "alpha"),
+        (asym_alpha, ALL_HALVES, 3, "gamma"),
+        (asym_gamma, ALL_HALVES, 4, "alpha"),
+        (asym_beta, BETA_EUCLIDEAN, 8, "alpha"),
+        (asym_gamma, BETA_EUCLIDEAN, 5, "beta"),
+    ],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_parity_mismatch_names_formula_k_and_parity(entry, s, k, parity):
+    message = rf"^{PER_PARITY[entry]} formula does not apply at k={k}: k\*s has {parity} parity$"
+    with pytest.raises(KParityError, match=message):
+        entry(s, k)
+
+
+@pytest.mark.parametrize("entry", list(PER_PARITY), ids=lambda f: f.__name__)
+def test_per_parity_entry_is_the_router_at_its_parity(entry):
+    rng = random.Random(79)
+    matched = 0
+    sample = [s for parity in PER_PARITY.values() for s in random_admissible(rng, parity, n=20, max_twice=8)]
+    for s in sample:
+        for k in (1, 2, 3, 101):
+            routed, mine = _outcome(asym_for_scaled, s, k), _outcome(entry, s, k)
+            if f"parity_used='{PER_PARITY[entry]}'" in routed:
+                assert mine == routed
+                matched += 1
+            elif routed.startswith("AsymptoticResult"):
+                assert mine.startswith("KParityError: ")
+    assert matched >= 10
 
 
 class TestPointwiseConvergence:

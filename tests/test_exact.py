@@ -97,6 +97,19 @@ class TestExactSymbol:
             assert (a == b) == same_value, (a, b)
             pairs += 1
 
+    def test_equal_values_compare_and_hash_equal(self):
+        # a prime may sit under the root on either side: sqrt(n/d) = sqrt(n*d)/d
+        for n, d in [(2, 1), (1, 2), (3, 5), (6, 35), (1, 30)]:
+            a = ExactSymbol(Fraction(-7, 3), Fraction(n, d))
+            b = ExactSymbol(Fraction(-7, 3 * d), Fraction(n * d))
+            assert a == b and hash(a) == hash(b), (a, b)
+            assert a != -b and a != ExactSymbol(Fraction(-7, 3), Fraction(n * d, d * d + 1))
+        half = Fraction(1, 2)
+        value = sixj_super_exact(SpinSextuple.of(half, half, half, half, 1, 1))
+        assert str(value) == "-3/2 * sqrt(1/3)"
+        other = ExactSymbol(Fraction(-1, 2), Fraction(3))
+        assert value == other and hash(value) == hash(other)
+
     def test_prime_exponent_route_matches_radicand_route(self):
         rng = random.Random(13)
         for _ in range(200):

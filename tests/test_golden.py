@@ -15,10 +15,15 @@ The record is regenerated only when an output change is intended:
 
 import builtins
 import contextlib
+import glob
 import importlib
 import io
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,9 +57,8 @@ SEXTUPLES = [
 ]
 
 # Sextuples that are inadmissible for an algebra AND non-Euclidean.  For
-# them, scan and asym --kind super report the geometry error (exit 4) where
-# eval reports the admissibility error (exit 3); that order is pinned by
-# tests/test_cli.py, not here.
+# them, scan and asym --kind super report the admissibility error (exit 3),
+# as eval does; that order is pinned by tests/test_cli.py, not here.
 INADMISSIBLE_FLAT = {
     "1/2 1 1 1 1 1/2": ("su2",),
     "4 1 1 1 1 4": ("su2", "super"),
@@ -137,6 +141,54 @@ def test_bytes_do_not_depend_on_the_float_sum(recorded, monkeypatch, tmp_path):
     scan_argv = ["scan", "--k-from", "21", "--k-to", "301", "--k-step", "2", "--out", path]
     assert run_cli(scan_argv + ["1"] * 6)["code"] == 0
     assert run_cli(["slope", path])["stdout"].splitlines()[0] == "slope      -1.4952312160240868"
+
+
+# run in another interpreter: the golden cases whose output differs, as JSON
+_CHILD = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from sixj.cli import cli_main
+bad = []
+for case in json.loads(open(sys.argv[2], encoding="utf-8").read()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(list(case["argv"]))
+    if {"argv": case["argv"], "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()} != case:
+        bad.append(" ".join(case["argv"]))
+print(json.dumps(bad))
+"""
+
+
+def other_interpreters() -> dict[tuple[int, ...], str]:
+    """One executable per CPython version >= 3.10, other than the running one,
+    among python3.10 ... python3.13 on PATH and the pyenv versions."""
+    candidates = [shutil.which(f"python3.{minor}") for minor in range(10, 14)]
+    candidates += sorted(glob.glob(os.path.expanduser("~/.pyenv/versions/3.*/bin/python")))
+    found = {}
+    for exe in filter(None, candidates):
+        try:  # a pyenv shim for a version that is not selected exits non-zero
+            probe = subprocess.run([exe, "-I", "-c", "import sys; print(*sys.version_info[:3])"],
+                                   capture_output=True, text=True, timeout=30)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        version = tuple(map(int, probe.stdout.split())) if probe.returncode == 0 else ()
+        if version >= (3, 10) and version != sys.version_info[:3]:
+            found.setdefault(version, exe)
+    return found
+
+
+def test_bytes_are_the_same_on_every_other_interpreter():
+    found = other_interpreters()
+    if not found:
+        pytest.skip("no other CPython >= 3.10 is installed")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    mismatches = {}
+    for version, exe in sorted(found.items()):
+        run = subprocess.run([exe, "-I", "-B", "-c", _CHILD, src, str(DATA)],
+                             capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, (version, run.stderr)
+        mismatches[".".join(map(str, version))] = json.loads(run.stdout)
+    assert all(not bad for bad in mismatches.values()), mismatches
 
 
 if __name__ == "__main__":

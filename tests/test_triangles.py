@@ -162,6 +162,24 @@ class TestBetaDecompose:
             assert bd.jstar_companion == s.spins[(bd.jstar_slot + 3) % 6]
 
 
+    def test_inconsistent_data_raise_value_error(self):
+        s = SpinSextuple.of(HALF, 1, 1, 1, 1, HALF)
+        t = triangle_sums(s)
+        moved_p = TriangleData(t.v, (t.p[0], HalfInt(t.p[1].twice + 2), t.p[2]))
+        # the sums of another beta sextuple with the same half-integer triangles v1, v2
+        other = triangle_sums(SpinSextuple.of(HALF, 2, 1, 1, 2, HALF))
+        for bad in (moved_p, other):
+            with pytest.raises(ValueError, match="inconsistent beta decomposition") as exc:
+                beta_decompose(s, bad)
+            assert type(exc.value) is ValueError
+
+    @pytest.mark.parametrize("spins", [(1,) * 6, (HALF,) * 6], ids=["alpha", "gamma"])
+    def test_non_beta_data_raise_parity_violation(self, spins):
+        s = SpinSextuple.of(*spins)
+        with pytest.raises(ParityViolation, match="exactly two half-integer triangles"):
+            beta_decompose(s, triangle_sums(s))
+
+
 class TestRescale:
     @pytest.mark.parametrize(
         "spins,k,parity",
