@@ -41,7 +41,7 @@ from .geometry import TetGeometry, _saddle, tet_from_spins
 # bound here as well: perfbench/tracer.py resolves the saddle coefficients in this module
 from .geometry import saddle_coeff_a, saddle_coeff_b, saddle_coeff_c  # noqa: F401
 from .record import Record
-from .triangles import Parity, SpinSextuple, _beta_split, _check, _jj, _sums
+from .triangles import Parity, SpinSextuple, _beta_split, _check, _jj, _scale_factor, _sums
 
 STANDARD = "standard"
 
@@ -159,11 +159,9 @@ def _check_scaled(v, p, k: int, algebra) -> Parity:
 def _scaled(s: SpinSextuple, k: int, algebra: str):
     """(d, v, p, parity): the doubled spins and sums of s, and the parity of k*s by
     _check_scaled, so an inadmissible k*s raises before any geometry."""
-    if k < 1:
-        raise ValueError(f"scale factor must be a positive integer, got {k}")
     d = s.doubled()
     v, p = _sums(d)
-    return d, v, p, _check_scaled(v, p, k, algebra)
+    return d, v, p, _check_scaled(v, p, _scale_factor(k), algebra)
 
 
 def asym_standard(s: SpinSextuple, k: int, geo: TetGeometry | None = None) -> AsymptoticResult:

@@ -18,7 +18,7 @@ from .exact import ScaledFloat
 from .geometry import tet_from_spins
 from .record import Record
 from .symbols import _brackets, _check_cost, sixj_exact, sixj_super_exact
-from .triangles import SpinSextuple, _sums
+from .triangles import SpinSextuple, _scale_factor, _sums
 
 CSV_COLUMNS = (
     "k",
@@ -79,9 +79,10 @@ def scan(s: SpinSextuple, kind: str, k_list: list[int]) -> list[ScanRecord]:
     """
     if kind not in ("su2", "super"):
         raise ValueError(f"kind must be 'su2' or 'super', got {kind!r}")
-    ks = list(k_list)
-    if any(k < 1 for k in ks):
-        raise ValueError("scan k values must be positive integers")
+    try:
+        ks = [_scale_factor(k) for k in k_list]
+    except ValueError:
+        raise ValueError("scan k values must be positive integers") from None
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("scan k values must be strictly ascending")
     if not ks:

@@ -97,15 +97,21 @@ class SpinSextuple(Record):
 
     def scaled(self, k: int) -> "SpinSextuple":
         """The sextuple with every spin multiplied by a positive integer k."""
-        if k < 1:
-            raise ValueError(f"scale factor must be a positive integer, got {k}")
-        if not isinstance(k, int):
-            raise TypeError(f"scale factor must be an int, got {type(k).__name__}")
+        k = _scale_factor(k)
         return self._of_doubled(tuple(x * k for x in self._d))
 
     def __str__(self) -> str:
         j = list(map(_half_text, self._d))
         return f"{{{' '.join(j[:3])}; {' '.join(j[3:])}}}"
+
+
+def _scale_factor(k) -> int:
+    """k, once it is a positive int: the one check of every scale factor."""
+    if k < 1:
+        raise ValueError(f"scale factor must be a positive integer, got {k}")
+    if not isinstance(k, int):
+        raise TypeError(f"scale factor must be an int, got {type(k).__name__}")
+    return k
 
 
 def _store(s: SpinSextuple, d: tuple[int, ...]) -> None:

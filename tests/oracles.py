@@ -69,6 +69,15 @@ def racah_sixj(spins) -> ExactSymbol:
     return ExactSymbol(total, delta_sq)
 
 
+def parts(x: ExactSymbol) -> tuple[Fraction, Fraction]:
+    """The stored (coeff, radicand) of x, which fix its printed bytes.
+
+    ``==`` compares values, and sqrt(1/2) equals sqrt(2)/2, so a check that two
+    routes store the same canonical form compares these instead.
+    """
+    return x.coeff, x.radicand
+
+
 def sixj_zero_spin(a, b, c) -> ExactSymbol:
     """Closed form {a b c; 0 c b} = (-1)^(a+b+c) / sqrt((2b+1)(2c+1))."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)

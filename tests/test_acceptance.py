@@ -30,6 +30,7 @@ from cores import frontal_sign, monomial4, phase, shift
 from oracles import (
     cayley_menger_det,
     frontal_sign_closed_form,
+    parts,
     racah_sixj,
     random_admissible,
     super_monomial,
@@ -101,7 +102,7 @@ def test_criterion_1_standard_oracle_equivalence():
     for s in su2_sextuples(8):  # spins <= 4
         mine = sixj_exact(s)
         ref = racah_sixj([x.as_fraction() for x in s.spins])
-        assert mine == ref, f"standard mismatch at {s}: {mine} vs {ref}"
+        assert parts(mine) == parts(ref), f"standard mismatch at {s}: {mine} vs {ref}"
         count += 1
     elapsed = time.time() - started
     ok = count > 2000 and elapsed < 300.0
@@ -115,7 +116,7 @@ def test_criterion_2_super_oracle_equivalence():
     for s in osp_sextuples(6):  # spins <= 3
         mine = sixj_super_exact(s)
         ref = super_sixj_direct([x.as_fraction() for x in s.spins])
-        assert mine == ref, f"super mismatch at {s}: {mine} vs {ref}"
+        assert parts(mine) == parts(ref), f"super mismatch at {s}: {mine} vs {ref}"
         count += 1
     elapsed = time.time() - started
     ok = count > 2000
@@ -234,7 +235,7 @@ def test_criterion_7_parity_transitions_and_even_k_collapse():
                 scaled = s.scaled(k)
                 generic = sixj_super_exact(scaled)
                 special = super_sixj_alpha_direct([x.as_fraction() for x in scaled.spins])
-                assert generic == special, (s, k)
+                assert parts(generic) == parts(special), (s, k)
                 checked += 1
     report(
         7,

@@ -304,6 +304,11 @@ class TestOneGate:
         with pytest.raises(ValueError, match=f"^scale factor must be a positive integer, got {k}$"):
             entry(ALL_ONES, k)
 
+    @pytest.mark.parametrize("k", [1.0, 2.0, 1.5])
+    def test_k_must_be_an_int(self, entry, k):
+        with pytest.raises(TypeError, match="^scale factor must be an int, got float$"):
+            entry(ALL_ONES, k)
+
 
 @pytest.mark.parametrize(
     "entry, s, k, parity",

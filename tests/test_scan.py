@@ -91,6 +91,13 @@ class TestScan:
         with pytest.raises(ValueError):
             scan(ALL_ONES, "bogus", [1])
 
+    @pytest.mark.parametrize("kind", ["su2", "super"])
+    @pytest.mark.parametrize("ks", [[1.0], [1.0, 2.0], [1, 3.0]])
+    def test_k_must_be_an_int(self, kind, ks):
+        # before any sums: a float at a later k too, not a crash deep in the kernel
+        with pytest.raises(TypeError, match="^scale factor must be an int, got float$"):
+            scan(ALL_ONES, kind, ks)
+
     def test_errors_carry_offending_k(self):
         from sixj import IntegralityViolation
 

@@ -24,6 +24,7 @@ from sixj.triangles import _sums, beta_decompose, classify_parity, is_admissible
 from cores import frontal_sign, monomial4
 from oracles import (
     frontal_sign_closed_form,
+    parts,
     racah_sixj,
     random_admissible,
     sixj_zero_spin,
@@ -52,7 +53,7 @@ class TestStandardSixj:
         for a, b, c in [(1, 2, 3), (2, 2, 2), (HALF, HALF, 1), (Fraction(3, 2), 2, HALF)]:
             if not is_admissible(SpinSextuple.of(a, b, c, 0, c, b), "su2"):
                 continue
-            assert sixj_exact(SpinSextuple.of(a, b, c, 0, c, b)) == sixj_zero_spin(a, b, c)
+            assert parts(sixj_exact(SpinSextuple.of(a, b, c, 0, c, b))) == parts(sixj_zero_spin(a, b, c))
 
     def test_triangle_violation_propagates(self):
         with pytest.raises(TriangleViolation):
@@ -65,7 +66,7 @@ class TestStandardSixj:
             s = random_admissible(rng, n=1, max_twice=10)[0]
             if not is_admissible(s, "su2"):
                 continue
-            assert sixj_exact(s) == racah_sixj([x.as_fraction() for x in s.spins])
+            assert parts(sixj_exact(s)) == parts(racah_sixj([x.as_fraction() for x in s.spins]))
             checked += 1
 
 
@@ -77,13 +78,13 @@ class TestSuperSixj:
     def test_all_ones_alpha(self):
         s = SpinSextuple.of(1, 1, 1, 1, 1, 1)
         assert sixj_super_exact(s) == ExactSymbol(Fraction(1, 2), Fraction(1))
-        assert sixj_super_exact(s) == super_sixj_direct([1, 1, 1, 1, 1, 1])
+        assert parts(sixj_super_exact(s)) == parts(super_sixj_direct([1, 1, 1, 1, 1, 1]))
 
     def test_matches_direct_oracle_on_randoms(self):
         rng = random.Random(42)
         for s in random_admissible(rng, n=250, max_twice=9):
-            assert sixj_super_exact(s) == super_sixj_direct(
-                [x.as_fraction() for x in s.spins]
+            assert parts(sixj_super_exact(s)) == parts(
+                super_sixj_direct([x.as_fraction() for x in s.spins])
             )
 
     def test_even_k_collapse_to_alpha_path(self):
@@ -94,7 +95,7 @@ class TestSuperSixj:
                     scaled = s.scaled(k)
                     generic = sixj_super_exact(scaled)
                     special = super_sixj_alpha_direct([x.as_fraction() for x in scaled.spins])
-                    assert generic == special
+                    assert parts(generic) == parts(special)
 
     def test_inadmissible_rejected(self):
         with pytest.raises(TriangleViolation):
@@ -228,7 +229,7 @@ class TestPrefactors:
             nums, dens = _super_prefactor_args(*triangle_sums(s).doubled())
             num, den = rng.randint(-(10**9), 10**9), rng.randint(1, 10**6)
             value = factorial_symbol(6 * num, nums, dens, [], [], 6 * den)
-            assert value == factorial_symbol(num, nums, dens, [], [], den)
+            assert parts(value) == parts(factorial_symbol(num, nums, dens, [], [], den))
             product = Fraction(
                 math.prod(map(math.factorial, nums)), math.prod(map(math.factorial, dens))
             )
@@ -291,7 +292,7 @@ class TestAlternatingSum:
     @pytest.mark.parametrize("spins", [(1, 1, 1, 1, 1, 1), (1, 2, 2, 2, 1, 2)])
     def test_su2_matches_racah_oracle_at_large_k(self, k, spins):
         scaled = SpinSextuple.of(*spins).scaled(k)
-        assert sixj_exact(scaled) == racah_sixj([x.as_fraction() for x in scaled.spins])
+        assert parts(sixj_exact(scaled)) == parts(racah_sixj([x.as_fraction() for x in scaled.spins]))
 
     @pytest.mark.parametrize("k", [51, 101])
     @pytest.mark.parametrize(
@@ -306,8 +307,8 @@ class TestAlternatingSum:
     def test_super_matches_direct_oracle_at_large_k(self, k, parity, spins):
         scaled = SpinSextuple.of(*spins).scaled(k)
         assert classify_parity(triangle_sums(scaled)).value == parity
-        assert sixj_super_exact(scaled) == super_sixj_direct(
-            [x.as_fraction() for x in scaled.spins]
+        assert parts(sixj_super_exact(scaled)) == parts(
+            super_sixj_direct([x.as_fraction() for x in scaled.spins])
         )
 
 
@@ -387,7 +388,7 @@ class TestCostBound:
         terms, n = _cost_args(s)
         assert (terms, n) == (12, 45)
         monkeypatch.setattr(symbols, "MAX_EXACT_COST", (terms + 1000) * n * n.bit_length())
-        assert sixj_exact(s) == racah_sixj([x.as_fraction() for x in s.spins])
+        assert parts(sixj_exact(s)) == parts(racah_sixj([x.as_fraction() for x in s.spins]))
         monkeypatch.setattr(symbols, "MAX_EXACT_COST", symbols.MAX_EXACT_COST - 1)
         with pytest.raises(ValueError):
             sixj_exact(s)
