@@ -1,8 +1,8 @@
 """Exact values of the form coeff * sqrt(radicand) and extended-range floats.
 
 Symbol evaluations produce a rational sum times the square root of a rational
-prefactor.  ``ExactSymbol`` keeps both parts exactly, normalised so that the
-radicand carries no square factor, and compares by value.  ``ScaledFloat``
+prefactor.  ``ExactSymbol`` keeps both parts exactly, the radicand square-free
+as ``from_prime_exponents`` leaves it, and compares by value.  ``ScaledFloat``
 is a sign/mantissa/exponent triple that survives conversions whose
 intermediate numerators and denominators overflow any native float by
 thousands of orders of magnitude.
@@ -113,29 +113,28 @@ def factorial_symbol(num: int, rad_nums: list[int], rad_dens: list[int],
     return ExactSymbol.from_prime_exponents(num, primes, fields[:f], fields[f:], den)
 
 
-def squarefree_split(n: int) -> tuple[int, int]:
-    """Split n >= 1 as s*s*f with f square-free, via trial division.
+_TRIAL_BOUND = 2**20  # B, where ExactSymbol's trial division of a radicand stops
 
-    Intended for products of factorials, whose prime factors are all small;
-    a radicand containing a large prime square would fall back to a slow scan.
-    """
-    if n < 1:
-        raise ValueError("squarefree_split expects a positive integer")
-    s = f = 1
-    d = 2
+
+def _factor(n: int) -> dict[int, int]:
+    """n >= 1 as {key: exponent} over square-free, pairwise coprime keys: primes up
+    to B, then the cofactor c, with no prime factor up to B, so a prime below B**2,
+    and below B**3 a prime, two primes or a square.  ValueError past B**3."""
+    exps, d, e = {}, 2, 1
     while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            s *= d ** (e // 2)
-            if e % 2:
-                f *= d
+        if d > _TRIAL_BOUND:
+            if n >= _TRIAL_BOUND**3:
+                raise ValueError(f"radicand factor over {_TRIAL_BOUND}**3 has no prime factor <= {_TRIAL_BOUND}")
+            if math.isqrt(n) ** 2 == n:
+                n, e = math.isqrt(n), 2
+            break
+        while n % d == 0:
+            n //= d
+            exps[d] = exps.get(d, 0) + 1
         d += 1 if d == 2 else 2
     if n > 1:
-        f *= n
-    return s, f
+        exps[n] = e
+    return exps
 
 
 class ExactSymbol(Record):
@@ -157,11 +156,11 @@ class ExactSymbol(Record):
             raise ValueError("radicand must be non-negative")
         if coeff == 0 or radicand == 0:
             coeff, radicand = Fraction(0), Fraction(1)
-        else:
-            sn, fn = squarefree_split(radicand.numerator)
-            sd, fd = squarefree_split(radicand.denominator)
-            coeff = coeff * Fraction(sn, sd)
-            radicand = Fraction(fn, fd)
+        else:  # by class name: tests run this on a dataclass twin
+            exps = _factor(radicand.numerator)
+            exps.update((p, -e) for p, e in _factor(radicand.denominator).items())
+            root = ExactSymbol.from_prime_exponents(1, exps, exps.values(), [0] * len(exps), 1)
+            coeff, radicand = coeff * root.coeff, root.radicand
         object.__setattr__(self, "coeff", Fraction(coeff))
         object.__setattr__(self, "radicand", radicand)
 
@@ -180,10 +179,10 @@ class ExactSymbol(Record):
     def from_prime_exponents(cls, num: int, primes, rad, coef, den: int) -> "ExactSymbol":
         """Build (num/den) * prod p**c * sqrt(prod p**e) over zip(primes, rad, coef).
 
-        The radicand's square part joins the coefficient's exponents, and each
-        odd-exponent prime enters the radicand once: the value is canonical
-        without __post_init__'s trial division.  The unreduced int ratio
-        num/den is reduced once, together with the coefficient's primes.
+        The primes need only be square-free and pairwise coprime.  The radicand's
+        square part joins the coefficient's exponents, and each odd-exponent
+        prime enters the radicand once: the value is canonical.  The unreduced
+        int ratio num/den is reduced once, with the coefficient's primes.
         """
         mult_num = mult_den = 1
         rad_num = rad_den = 1
@@ -226,8 +225,18 @@ class ExactSymbol(Record):
     def __float__(self) -> float:
         return self.to_scaled().to_float()
 
+    @classmethod
+    def _stored(cls, coeff, radicand):  # a canonical pair as it stands: no factoring
+        value = object.__new__(cls)
+        object.__setattr__(value, "coeff", coeff)
+        object.__setattr__(value, "radicand", radicand)
+        return value
+
+    def __reduce__(self):
+        return self._stored, (self.coeff, self.radicand)
+
     def __neg__(self) -> "ExactSymbol":
-        return ExactSymbol(-self.coeff, self.radicand)
+        return ExactSymbol._stored(-self.coeff, self.radicand)
 
     def __str__(self) -> str:
         return f"{self.coeff} * sqrt({self.radicand})"
@@ -312,9 +321,6 @@ def exact_to_scaled(value: ExactSymbol) -> ScaledFloat:
     sign = 1 if coeff > 0 else -1
     cn, cd = abs(coeff.numerator), coeff.denominator
     rn, rd = radicand.numerator, radicand.denominator
-    if rn == 1 and rd == 1:
-        m, e = _ratio_to_mantissa(cn, cd)
-        return ScaledFloat(sign * m, e)
     # sqrt(rn/rd) = sqrt(rn*rd)/rd, computed with guard bits so the final
     # rational rounding dominates the error budget
     root = math.isqrt((rn * rd) << (2 * _SQRT_GUARD_BITS))

@@ -96,7 +96,7 @@ def scan(s: SpinSextuple, kind: str, k_list: list[int]) -> list[ScanRecord]:
     spent = 0  # the kernel's cost, summed over every k
     for k in ks:
         w, m = _brackets(v, p, k)
-        spent = _check_cost(min(m) - max(w) + 1, max(m) + 1, spent)
+        spent = _check_cost(w, m, max(w), min(m), spent)
     geo = tet_from_spins(s)
     records = []
     for k in ks:

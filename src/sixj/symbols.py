@@ -59,19 +59,21 @@ def _brackets(v, p, k: int = 1) -> tuple[list[int], list[int]]:
     return [(k * x + 1) // 2 for x in v], [(k * x + 1) // 2 for x in p]
 
 
-# Estimated cost (terms + 1000) n log2 n, n = max(m) + 1 bounding every
-# factorial argument: the kernel's ints reach about n log2 n bits, and the
-# sieve and the Legendre sums past the table take time and memory in
-# proportion to n.  At the bound, all-ones SU(2) at k = 64051 takes about
-# 63 s on one core; one term takes 2 s or less and under 75 MB peak RSS
-# ({0 0 0; N N N} at N = 6243755: 70 MB; {N N 0; N N 0} at N = 3121877:
-# 43 MB).  Memory limits few terms, and the weight sets that limit.
+# Estimated cost (terms + 1000) n log2 n, n - 1 bounding every factorial
+# argument: the kernel's ints reach about n log2 n bits, and the sieve and the
+# Legendre sums past the table take time and memory in proportion to n.  At
+# the bound, all-ones SU(2) at k = 64051 takes about 63 s on one core; one
+# term takes 2 s or less and under 75 MB peak RSS ({0 0 0; N N N} and
+# {N N 0; N N 0} at N = 6243755: 67 MB).  Memory limits few terms, and the
+# weight sets that limit.
 MAX_EXACT_COST = 3 * 10**11
 
 
-def _check_cost(terms: int, n: int, spent: int = 0) -> int:
-    """spent plus the estimated cost of a kernel call; ValueError past MAX_EXACT_COST."""
-    spent += (terms + 1000) * n * n.bit_length()
+def _check_cost(w: list[int], m: list[int], lo: int, hi: int, spent: int = 0) -> int:
+    """spent plus the estimated cost of the kernel on (w, m) over lo..hi, ValueError past
+    MAX_EXACT_COST; n - 1 bounds the head's, both prefactors' and the loop's factors."""
+    n = max(hi, max(m) - min(w), lo + 1) + 1
+    spent += (hi - lo + 1001) * n * n.bit_length()
     if spent > MAX_EXACT_COST:
         raise ValueError("spins are too large for exact evaluation")
     return spent
@@ -91,7 +93,7 @@ def _alternating_sum(w: list[int], m: list[int], c0: int, c1: int) -> int:
     lo, hi = max(w), min(m)
     if lo > hi:
         return 0
-    _check_cost(hi - lo + 1, max(m) + 1)
+    _check_cost(w, m, lo, hi)
     w0, w1, w2, w3 = w
     m0, m1, m2 = m
     num, den = c0 + c1 * hi, 1

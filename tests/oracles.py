@@ -42,8 +42,9 @@ def racah_sixj(spins) -> ExactSymbol:
 
     delta(abc)^2 = (-a+b+c)!(a-b+c)!(a+b-c)! / (a+b+c+1)! and the alternating
     single sum with (z+1)!; the radicand is multiplied out and canonicalised
-    by integer factoring, a different route from the evaluator's
-    prime-exponent bookkeeping.
+    by the constructor's trial division, a different route from the
+    evaluator's prime-exponent bookkeeping (tests/test_exact.py checks that
+    route against squarefree_split below).
     """
     a, b, c, d, e, f = (Fraction(x) for x in spins)
     triads = ((a, b, c), (a, e, f), (d, b, f), (d, e, c))
@@ -267,6 +268,31 @@ def cayley_menger_det(spins) -> Fraction:
             for c in range(col, 5):
                 m[r][c] -= f * m[col][c]
     return det
+
+
+def squarefree_split(n: int) -> tuple[int, int]:
+    """Split n >= 1 as s*s*f with f square-free, via trial division.
+
+    Intended for products of factorials, whose prime factors are all small;
+    a radicand containing a large prime square would fall back to a slow scan.
+    """
+    if n < 1:
+        raise ValueError("squarefree_split expects a positive integer")
+    s = f = 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            s *= d ** (e // 2)
+            if e % 2:
+                f *= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        f *= n
+    return s, f
 
 
 def primes_by_trial_division(n: int) -> list[int]:

@@ -1,17 +1,25 @@
+import copy
+import itertools
+import json
 import math
+import pickle
 import random
+import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sixj import ExactSymbol, ScaledFloat, SpinSextuple, exact, sixj_exact, sixj_super_exact, symbols
-from sixj.exact import exact_to_scaled, factorial_symbol, primes_up_to, squarefree_split
+from sixj import (ExactSymbol, ScaledFloat, SixjError, SpinSextuple, asym_for_scaled, asym_standard, exact,
+                  scan, sixj_exact, sixj_super_exact, symbols)
+from sixj.exact import exact_to_scaled, factorial_symbol, primes_up_to
 from sixj.symbols import _alternating_sum, _symbol
-from oracles import parts, primes_by_trial_division
+from oracles import parts, primes_by_trial_division, squarefree_split
+from test_golden import DATA as GOLDEN, run_cli
 
 
 def _scaled(q: Fraction) -> ScaledFloat:
@@ -50,6 +58,7 @@ def test_factorial_table_consistent():
 
 
 def test_squarefree_split():
+    # the reference rule the constructor is checked against, in tests/oracles.py
     assert squarefree_split(720) == (12, 5)
     assert squarefree_split(1) == (1, 1)
     rng = random.Random(5)
@@ -121,7 +130,130 @@ class TestExactSymbol:
             value = ExactSymbol.from_prime_exponents(
                 coeff.numerator, exps, exps.values(), [0] * len(exps), coeff.denominator
             )
-            assert parts(value) == parts(ExactSymbol(coeff, rad))
+            assert parts(value) == oracle_parts(coeff, rad)
+
+
+def oracle_parts(coeff, radicand) -> tuple[Fraction, Fraction]:
+    """The canonical pair by the reference rule: squarefree_split of each side
+    of the radicand, the square parts multiplied into coeff."""
+    if coeff == 0 or radicand == 0:
+        return Fraction(0), Fraction(1)
+    sn, fn = squarefree_split(radicand.numerator)
+    sd, fd = squarefree_split(radicand.denominator)
+    return Fraction(coeff * Fraction(sn, sd)), Fraction(fn, fd)
+
+
+BIG_PRIME = 1_000_003  # above 10**6: trial division reaches it only through the cofactor
+_SIDE = st.tuples(st.lists(st.sampled_from([2, 2, 3, 3, 5, 7, 11, 997]), max_size=12),
+                  st.integers(0, 1)).map(lambda t: math.prod(t[0]) * BIG_PRIME ** t[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coeff=st.one_of(st.integers(-50, 50), st.fractions(max_denominator=50), st.booleans(),
+                    st.floats(-1e6, 1e6, allow_nan=False)),
+    num=_SIDE,
+    den=_SIDE,
+    as_int=st.booleans(),
+)
+@example(coeff=Fraction(-3, 4), num=BIG_PRIME**2, den=1, as_int=False)  # a prime square
+@example(coeff=5, num=12, den=BIG_PRIME**2 * 8, as_int=False)
+@example(coeff=0.1, num=2**7 * 3**4 * 5, den=7**3, as_int=False)
+@example(coeff=Fraction(2, 3), num=0, den=1, as_int=True)
+@example(coeff=0, num=18, den=1, as_int=False)
+@example(coeff=True, num=2**5 * BIG_PRIME**3, den=1, as_int=True)
+def test_constructor_stores_the_oracle_pair(coeff, num, den, as_int):
+    radicand = num if as_int else Fraction(num, den)
+    value = ExactSymbol(coeff, radicand)
+    assert type(value.coeff) is Fraction and type(value.radicand) is Fraction
+    assert parts(value) == oracle_parts(coeff, Fraction(radicand))
+
+
+PRIME_BELOW_2_60 = 2**60 - 93
+PRIMES_ABOVE_BOUND = (1048583, 1048589)  # the first two primes above 2**20
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+class TestConstructorBound:
+    """ExactSymbol(coeff, radicand) trial-divides up to exact._TRIAL_BOUND = 2**20
+    and refuses a cofactor of bound**3 or more that has no prime factor up to it."""
+
+    def test_prime_near_2_61_is_refused_within_five_seconds(self):
+        # unbounded trial division up to its square root takes about a minute here
+        code = (f"import sys; sys.path.insert(0, {SRC!r}); from fractions import Fraction; "
+                "from sixj import ExactSymbol; ExactSymbol(Fraction(1), Fraction(2**61 - 1))")
+        run = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=5)
+        assert run.returncode == 1
+        assert run.stderr.endswith(
+            "ValueError: radicand factor over 1048576**3 has no prime factor <= 1048576\n")
+
+    def test_large_prime_and_prime_square_past_the_bound(self):
+        p = PRIME_BELOW_2_60
+        r, q = PRIMES_ABOVE_BOUND
+        assert parts(ExactSymbol(Fraction(3), Fraction(p))) == (Fraction(3), Fraction(p))
+        assert parts(ExactSymbol(Fraction(3), Fraction(12, p))) == (Fraction(6), Fraction(3, p))
+        assert parts(ExactSymbol(Fraction(1), Fraction(r * r))) == (Fraction(r), Fraction(1))
+        assert parts(ExactSymbol(Fraction(2), Fraction(5, r * r))) == (Fraction(2, r), Fraction(5))
+        assert parts(ExactSymbol(Fraction(1), Fraction(r * q, 4))) == (Fraction(1, 2), Fraction(r * q))
+        with pytest.raises(ValueError, match="1048576"):
+            ExactSymbol(Fraction(1), Fraction(1, r * q * 1048601))
+
+    def test_every_odd_divisor_up_to_the_bound_is_tried(self, monkeypatch):
+        monkeypatch.setattr(exact, "_TRIAL_BOUND", 257)  # a prime bound: d = 257 is the last divisor
+        assert parts(ExactSymbol(Fraction(1), Fraction(257**3))) == (Fraction(257), Fraction(257))
+        assert parts(ExactSymbol(Fraction(1), Fraction(2, 257**3))) == (Fraction(1, 257), Fraction(2, 257))
+        assert parts(ExactSymbol(Fraction(1), Fraction(2 * 263**2))) == (Fraction(263), Fraction(2))
+        assert parts(ExactSymbol(Fraction(1), Fraction(263 * 269, 3))) == (Fraction(1), Fraction(263 * 269, 3))
+        for radicand in (Fraction(263 * 269 * 271), Fraction(5, 263**3)):
+            with pytest.raises(ValueError, match="^radicand factor over 257\\*\\*3 has no prime factor <= 257$"):
+                ExactSymbol(Fraction(1), radicand)
+
+    def test_copies_pickles_and_negations_do_not_factor(self, monkeypatch):
+        value = sixj_exact(SpinSextuple.of(3, 2, 3, 2, 3, 3).scaled(30))
+        assert all(value.radicand.denominator % p == 0 for p in (257, 263, 269))
+        monkeypatch.setattr(exact, "_TRIAL_BOUND", 2**8)
+        with pytest.raises(ValueError):
+            ExactSymbol(value.coeff, value.radicand)
+        negated = -value
+        assert type(negated) is ExactSymbol and parts(negated) == (-value.coeff, value.radicand)
+        assert parts(-negated) == parts(value)
+        pickled = [pickle.loads(pickle.dumps(value, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for y in (copy.copy(value), copy.deepcopy(value), *pickled):
+            assert type(y) is ExactSymbol and parts(y) == parts(value) and y == value
+
+
+class TestNoProgramPathFactors:
+    """No program path reaches the constructor's trial division: with it raising,
+    the golden set, both evaluators, both asymptotic routers and scan still pass."""
+
+    @pytest.fixture(autouse=True)
+    def factoring_raises(self, monkeypatch):
+        def factor(n):
+            raise AssertionError(f"factored {n}")
+
+        monkeypatch.setattr(exact, "_factor", factor)
+
+    def test_golden_set(self):
+        for case in json.loads(GOLDEN.read_text(encoding="utf-8")):
+            assert run_cli(case["argv"]) == case
+
+    def test_evaluators_and_routers_on_every_spin_up_to_three_halves(self):
+        done = 0
+        for d in itertools.product(range(4), repeat=6):
+            s = SpinSextuple.of(*(Fraction(x, 2) for x in d))
+            for evaluate in (sixj_exact, sixj_super_exact, *(
+                    lambda s, k=k, route=route: route(s, k) for route in (asym_standard, asym_for_scaled)
+                    for k in (1, 2, 3))):
+                try:
+                    evaluate(s)
+                    done += 1
+                except SixjError:
+                    pass
+        assert done == 181 + 648 + 512  # SU(2) values, OSP(1|2) values, asymptotic results
+
+    @pytest.mark.parametrize("kind, spins", [("su2", (1,) * 6), ("super", (Fraction(1, 2),) * 6)])
+    def test_scan(self, kind, spins):
+        assert len(scan(SpinSextuple.of(*spins), kind, list(range(21, 62)))) == 41
 
 
 class TestScaledFloat:

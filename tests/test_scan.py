@@ -21,6 +21,7 @@ from sixj import (
 )
 from sixj.exact import exact_to_scaled
 from sixj.scan import MAX_SCAN_POINTS, k_range, local_maxima
+from sixj.symbols import _brackets, _check_cost
 from sixj.triangles import _sums
 
 SCAN_MODULE = importlib.import_module("sixj.scan")  # the package binds sixj.scan to the function
@@ -31,11 +32,9 @@ ALL_HALVES = SpinSextuple.of(*([HALF] * 6))
 
 
 def estimated_cost(s: SpinSextuple) -> int:
-    """The kernel's cost estimate on s, (terms + 1000) n log2 n, by calculation."""
-    v, p = _sums(s.doubled())
-    w, m = [(x + 1) // 2 for x in v], [(x + 1) // 2 for x in p]
-    terms, n = min(m) - max(w) + 1, max(m) + 1
-    return (terms + 1000) * n * n.bit_length()
+    """The kernel's cost estimate on s, as _check_cost takes it for one evaluation."""
+    w, m = _brackets(*_sums(s.doubled()))
+    return _check_cost(w, m, max(w), min(m))
 
 
 def csv_text(records: list[ScanRecord]) -> str:

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -19,7 +20,7 @@ from sixj import (
 )
 from sixj import symbols
 from sixj.exact import factorial_symbol
-from sixj.symbols import _alternating_sum, _check_cost, _super_prefactor_args, _symbol
+from sixj.symbols import _alternating_sum, _brackets, _check_cost, _super_prefactor_args, _symbol
 from sixj.triangles import _sums, beta_decompose, classify_parity, is_admissible, triangle_sums
 from cores import frontal_sign, monomial4
 from oracles import (
@@ -347,12 +348,24 @@ class TestSympyOracle:
         assert sympy.sign(ref) == value.sign
 
 
-def _cost_args(s: SpinSextuple) -> tuple[int, int]:
-    """(terms, largest factorial argument + 1) of the kernel on s, whose w and m are
-    floor(v + 1/2) and floor(p + 1/2) for both evaluators."""
-    v, p = _sums(s.doubled())
-    w, m = [(x + 1) // 2 for x in v], [(x + 1) // 2 for x in p]
-    return min(m) - max(w) + 1, max(m) + 1
+def _cost_args(s: SpinSextuple) -> tuple:
+    """The arguments both evaluators pass _check_cost on s: the kernel's w and m,
+    floor(v + 1/2) and floor(p + 1/2), and its range max(w) .. min(m)."""
+    w, m = _brackets(*_sums(s.doubled()))
+    return w, m, max(w), min(m)
+
+
+@st.composite
+def osp_sextuples(draw, max_twice=80):
+    """OSP(1|2)-admissible sextuples with doubled spins <= max_twice, face by face."""
+    a1, a2, b1 = (draw(st.integers(0, max_twice)) for _ in range(3))
+    a3 = draw(st.integers(abs(a1 - a2), a1 + a2))
+    b2 = draw(st.integers(abs(b1 - a3), b1 + a3))
+    lo, hi = max(abs(a1 - b2), abs(b1 - a2)), min(a1 + b2, b1 + a2, max_twice)
+    assume(a3 <= max_twice and b2 <= max_twice and lo <= hi)
+    s = SpinSextuple(*(HalfInt(x) for x in (a1, a2, a3, b1, b2, draw(st.integers(lo, hi)))))
+    assume(is_admissible(s, "osp12"))
+    return s
 
 
 class TestCostBound:
@@ -362,9 +375,9 @@ class TestCostBound:
         # the shapes the bound was sized on, measured one process at a time: many terms
         # (63 s at the bound), and one term with large factorials (2 s or less, under 75 MB)
         ((1, 1, 1, 1, 1, 1), 64051, 64052),
-        ((1, 1, 0, 1, 1, 0), 3121877, 3121878),  # factorials up to 2N + 1 = n / 2
+        ((1, 1, 0, 1, 1, 0), 6243755, 6243756),  # factorials up to 2N + 1 = n - 1
         ((HALF,) * 6, 128102, 128104),  # all halves at 2k: the spins of all ones at k
-        ((0, 0, 0, 1, 1, 1), 6243755, 6243756),  # factorials up to 2N = n - 1
+        ((0, 0, 0, 1, 1, 1), 6243755, 6243756),  # factorials up to 2N + 1 = n - 1
     ])
     def test_sized_on_the_calibration_shapes(self, spins, accepted, refused):
         base = SpinSextuple.of(*spins)
@@ -385,10 +398,39 @@ class TestCostBound:
 
     def test_cost_at_the_bound_is_accepted(self, monkeypatch):
         s = SpinSextuple.of(1, 1, 1, 1, 1, 1).scaled(11)
-        terms, n = _cost_args(s)
-        assert (terms, n) == (12, 45)
-        monkeypatch.setattr(symbols, "MAX_EXACT_COST", (terms + 1000) * n * n.bit_length())
+        cost = _check_cost(*_cost_args(s))
+        assert cost == (12 + 1000) * 45 * 6  # 12 terms, n - 1 = min(m) = 44
+        monkeypatch.setattr(symbols, "MAX_EXACT_COST", cost)
         assert parts(sixj_exact(s)) == parts(racah_sixj([x.as_fraction() for x in s.spins]))
         monkeypatch.setattr(symbols, "MAX_EXACT_COST", symbols.MAX_EXACT_COST - 1)
         with pytest.raises(ValueError):
             sixj_exact(s)
+
+    @given(st.one_of(su2_sextuples().map(lambda s: ("su2", s)), osp_sextuples().map(lambda s: ("super", s))))
+    @example(("su2", SpinSextuple.of(0, 0, 0, 1, 1, 1)))  # (2N + 1)! in the prefactor, N = 1
+    @example(("su2", SpinSextuple.of(1, 1, 0, 1, 1, 0)))
+    @example(("super", SpinSextuple.of(*[HALF] * 6)))
+    @settings(max_examples=200, deadline=None)
+    def test_n_bounds_every_factorial_argument(self, case):
+        # n - 1 >= every argument _symbol and the prefactor lists pass, and every factor
+        # of the loop; for SU(2) the bound is attained, so the estimate is tight
+        kind, s = case
+        seen = {}
+
+        def check(w, m, lo, hi, spent=0):
+            seen["kernel"], seen["cost"] = (w, m, lo, hi), _check_cost(w, m, lo, hi, spent)
+            return seen["cost"]
+
+        def record(num, *lists_and_den):
+            seen["args"] = [x for args in lists_and_den[:4] for x in args]
+            return factorial_symbol(num, *lists_and_den)
+
+        with mock.patch.object(symbols, "_check_cost", check), \
+                mock.patch.object(symbols, "factorial_symbol", record):
+            (sixj_exact if kind == "su2" else sixj_super_exact)(s)
+        assume("args" in seen)  # an exact zero builds no factorial
+        w, m, lo, hi = seen["kernel"]
+        loop = [hi, hi - min(w), max(m) - lo] if hi > lo else []
+        n = max(seen["args"] + loop) + 1
+        estimate = (hi - lo + 1001) * n * n.bit_length()
+        assert seen["cost"] == estimate if kind == "su2" else seen["cost"] >= estimate
