@@ -143,7 +143,7 @@ def oracle_parts(coeff, radicand) -> tuple[Fraction, Fraction]:
     return Fraction(coeff * Fraction(sn, sd)), Fraction(fn, fd)
 
 
-BIG_PRIME = 1_000_003  # above 10**6: trial division reaches it only through the cofactor
+BIG_PRIME = 1_000_003  # a prime above 10**6, below the constructor's bound 2**20
 _SIDE = st.tuples(st.lists(st.sampled_from([2, 2, 3, 3, 5, 7, 11, 997]), max_size=12),
                   st.integers(0, 1)).map(lambda t: math.prod(t[0]) * BIG_PRIME ** t[1])
 
