@@ -241,11 +241,11 @@ class TestNoProgramPathFactors:
         done = 0
         for d in itertools.product(range(4), repeat=6):
             s = SpinSextuple.of(*(Fraction(x, 2) for x in d))
-            for evaluate in (sixj_exact, sixj_super_exact, *(
-                    lambda s, k=k, route=route: route(s, k) for route in (asym_standard, asym_for_scaled)
-                    for k in (1, 2, 3))):
+            calls = [(sixj_exact, s), (sixj_super_exact, s)]
+            calls += [(route, s, k) for route in (asym_standard, asym_for_scaled) for k in (1, 2, 3)]
+            for call, *args in calls:
                 try:
-                    evaluate(s)
+                    call(*args)
                     done += 1
                 except SixjError:
                     pass
