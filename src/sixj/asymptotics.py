@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 
 from .errors import DegenerateFactorError, KParityError, UndefinedShiftError
+from .exact import _ratio_to_float
 from .geometry import TetGeometry, _saddle, tet_from_spins
 # bound here as well: perfbench/tracer.py resolves the saddle coefficients in this module
 from .geometry import saddle_coeff_a, saddle_coeff_b, saddle_coeff_c  # noqa: F401
@@ -44,6 +45,8 @@ from .record import Record
 from .triangles import Parity, SpinSextuple, _beta_split, _check, _jj, _scale_factor, _sums
 
 STANDARD = "standard"
+_K_TOO_LARGE = "k is too large for the floating-point asymptotic formula"
+_SPINS_TOO_LARGE = "spins are too large for the floating-point asymptotic formula"
 
 
 class AsymptoticResult(Record):
@@ -92,14 +95,13 @@ def _running_sum(xs) -> float:
     return total
 
 
-def _phase(d, k: int, theta, gamma: bool = False, slot: int | None = None) -> float:
+def _phase(spins, k: int, theta, gamma: bool = False, slot: int | None = None) -> float:
     """Accumulated dihedral-angle phase of the cosine argument.
 
     Standard and alpha: sum (k j + 1/2) theta_j over all six edges; gamma:
     k sum j theta_j (no half offsets); beta: the alpha form plus
     theta_slot / 2 at the jstar slot (one edge promoted to k j + 1).
     """
-    spins = [x / 2.0 for x in d]
     if gamma:
         return k * _running_sum(j * t for j, t in zip(spins, theta))
     total = _running_sum((k * j + 0.5) * t for j, t in zip(spins, theta))
@@ -114,11 +116,12 @@ def _beta_factors(v, p, split) -> tuple[float, float, float]:
     V, Vp, Vb, Vbp, P, Pb, Pbp, *_ = split
     mixed_int = (P - V) * (P - Vp) * (Pb - V) * (Pb - Vp) * (Pbp - V) * (Pbp - Vp) * V * Vp
     mixed_half = (Pb - Vb) * (Pb - Vbp) * (Pbp - Vb) * (Pbp - Vbp) * (P - Vb) * (P - Vbp) * Vb * Vbp
-    front = (P - V) * (P - Vp) / (Vb * Vbp)
+    front = (P - V) * (P - Vp)  # over Vb * Vbp, positive as area is
     if front <= 0 or mixed_int <= 0 or mixed_half <= 0:
         raise DegenerateFactorError("degenerate triangle: fourth-root factor vanishes")
     # each ratio of doubled ints is the rational of the spin form, rounded once
-    return front, mixed_half / mixed_int, area / 65536
+    return tuple(_ratio_to_float(n, d, _SPINS_TOO_LARGE)
+                 for n, d in ((front, Vb * Vbp), (mixed_half, mixed_int), (area, 65536)))
 
 
 def _route(s: SpinSextuple, k: int, geo: TetGeometry | None, want: Parity | None = None) -> AsymptoticResult:
@@ -130,25 +133,19 @@ def _route(s: SpinSextuple, k: int, geo: TetGeometry | None, want: Parity | None
     split = _beta_split(d, v, p) if parity is Parity.BETA else None
     factors = _beta_factors(v, p, split) if split else None
     n, psi = _shift(parity, d, v, split, 24.0 * geo.volume)
-    root = math.sqrt(48.0 * math.pi * _float(k) * geo.volume)
+    root = math.sqrt(48.0 * math.pi * _ratio_to_float(k, 1, _K_TOO_LARGE) * geo.volume)
     if factors is None:
         amplitude = n / (root * math.sqrt(math.prod(v) / 16))
     else:
         front, ratio, area = factors
         amplitude = n * math.sqrt(front) * ratio ** 0.25 / (root * area ** 0.25)
     slot = split[-1] if split else None
-    angle = 0.25 * math.pi + _phase(d, k, geo.theta_ext, parity is Parity.GAMMA, slot) - psi
+    angle = 0.25 * math.pi + _phase(geo.lengths, k, geo.theta_ext, parity is Parity.GAMMA, slot) - psi
+    if not math.isfinite(angle):
+        raise ValueError(_K_TOO_LARGE)
     if k * _jj(d) % 2:
         angle += math.pi
     return AsymptoticResult(amplitude, angle, amplitude * math.cos(angle), parity.value)
-
-
-def _float(n: int) -> float:
-    """float(n), rounded as float * n rounds it; ValueError past the float range."""
-    try:
-        return float(n)
-    except OverflowError:
-        raise ValueError("k is too large for the floating-point asymptotic formula") from None
 
 
 def _check_scaled(v, p, k: int, algebra) -> Parity:
@@ -172,8 +169,8 @@ def asym_standard(s: SpinSextuple, k: int, geo: TetGeometry | None = None) -> As
     """
     d = _scaled(s, k, "su2")[0]
     geo = geo or tet_from_spins(s)
-    amplitude = 1.0 / math.sqrt(12.0 * math.pi * _float(k**3) * geo.volume)
-    angle = 0.25 * math.pi + _phase(d, k, geo.theta_ext)
+    amplitude = 1.0 / math.sqrt(12.0 * math.pi * _ratio_to_float(k**3, 1, _K_TOO_LARGE) * geo.volume)
+    angle = 0.25 * math.pi + _phase(geo.lengths, k, geo.theta_ext)
     return AsymptoticResult(amplitude, angle, amplitude * math.cos(angle), STANDARD)
 
 

@@ -160,8 +160,8 @@ class ExactSymbol(Record):
             exps = _factor(radicand.numerator)
             exps.update((p, -e) for p, e in _factor(radicand.denominator).items())
             root = ExactSymbol.from_prime_exponents(1, exps, exps.values(), [0] * len(exps), 1)
-            coeff, radicand = coeff * root.coeff, root.radicand
-        object.__setattr__(self, "coeff", Fraction(coeff))
+            coeff, radicand = Fraction(coeff) * root.coeff, root.radicand
+        object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "radicand", radicand)
 
     def _values(self) -> tuple:
@@ -288,33 +288,32 @@ class ScaledFloat(Record):
         return self.to_float()
 
 
+def _ratio_to_float(n: int, d: int, message: str) -> float:
+    """n/d by CPython's int true division, correctly rounded (half to even) for
+    ints of any size; ValueError(message) when the quotient has no float value."""
+    try:
+        return n / d
+    except OverflowError:
+        raise ValueError(message) from None
+
+
 def _ratio_to_mantissa(n: int, d: int) -> tuple[float, int]:
-    """Round n/d (both positive ints) to 53 bits: (mantissa in [1,2), exp2)."""
-    e = n.bit_length() - d.bit_length()
-    # scale so the integer quotient carries 55-56 significant bits
-    s = 55 - e
-    if s >= 0:
-        q, rem = divmod(n << s, d)
-    else:
-        q, rem = divmod(n, d << -s)
-    bits = q.bit_length()
-    drop = bits - 53
-    keep = q >> drop
-    low = q & ((1 << drop) - 1)
-    half = 1 << (drop - 1)
-    if low > half or (low == half and (rem > 0 or keep & 1)):
-        keep += 1
-        if keep.bit_length() > 53:  # rounded up to a power of two
-            keep >>= 1
-            drop += 1
-    return keep / float(1 << 52), drop - s + 52
+    """Round n/d (both positive ints) to 53 bits, half to even: (mantissa in [1,2), exp2)."""
+    s = d.bit_length() - n.bit_length() + 1  # n/d * 2**s lies in (1, 4)
+    m, e = math.frexp((n << s) / d if s >= 0 else n / (d << -s))
+    return 2 * m, e - 1 - s
 
 
 _SQRT_GUARD_BITS = 64
 
 
 def exact_to_scaled(value: ExactSymbol) -> ScaledFloat:
-    """Correctly rounded ScaledFloat of coeff * sqrt(radicand) (within 2 ulp)."""
+    """ScaledFloat of coeff * sqrt(radicand), rounded once to 53 bits, half to even.
+
+    A rational value (radicand 1) is correctly rounded.  Otherwise the root
+    is first truncated to 64 fractional bits (a relative error below
+    2**-64), and the result lies within 2 ulp of the exact value.
+    """
     if value.is_zero:
         return ScaledFloat.zero()
     coeff, radicand = value.coeff, value.radicand

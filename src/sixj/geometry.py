@@ -18,9 +18,12 @@ import math
 from fractions import Fraction
 
 from .errors import NonEuclideanError
+from .exact import _ratio_to_float
 from .halfint import _half_text
 from .record import Record
 from .triangles import _FACES, SpinSextuple, TriangleData, _jj, _sums
+
+_TOO_LARGE = "spins are too large for the floating-point geometry"
 
 
 class TetGeometry(Record):
@@ -58,14 +61,6 @@ def _cm64(d) -> int:
     return 2 * (2 * a2 * c16 - b4 * b4)
 
 
-def _cm_float(cm64: int, n: int) -> float:
-    """cm64 / n, correctly rounded; ValueError past the float range."""
-    try:
-        return cm64 / n
-    except OverflowError:
-        raise ValueError("spins are too large for the floating-point geometry") from None
-
-
 def cayley_menger(s: SpinSextuple) -> Fraction:
     """Exact Cayley-Menger determinant (= 288 V^2) for edge lengths = spins.
 
@@ -97,9 +92,9 @@ def _norm(a):
     return math.sqrt(_dot(a, a))
 
 
-def _embed(s: SpinSextuple) -> tuple[tuple[float, float, float], ...]:
+def _embed(lengths) -> tuple[tuple[float, float, float], ...]:
     """Coordinates (A, B, C, D) realising the six lengths; assumes CM > 0."""
-    j1, j2, j3, J1, J2, J3 = (x / 2.0 for x in s.doubled())
+    j1, j2, j3, J1, J2, J3 = lengths
     a = (0.0, 0.0, 0.0)
     b = (j3, 0.0, 0.0)
     cx = (j2 * j2 + j3 * j3 - j1 * j1) / (2.0 * j3)
@@ -139,7 +134,8 @@ def tet_from_spins(s: SpinSextuple) -> TetGeometry:
     # CM <= 1e-12 (max j)^6 counts as flat; times 64 * 10**12 on doubled spins
     if 10**12 * cm64 <= max(twice) ** 6:
         raise NonEuclideanError(
-            f"no Euclidean tetrahedron for {s}: Cayley-Menger determinant {_cm_float(cm64, 64):.6g}"
+            f"no Euclidean tetrahedron for {s}: Cayley-Menger determinant "
+            f"{_ratio_to_float(cm64, 64, _TOO_LARGE):.6g}"
         )
     for face in _FACES:
         a, b, c = sorted(twice[i] for i in face)
@@ -148,8 +144,9 @@ def tet_from_spins(s: SpinSextuple) -> TetGeometry:
                 f"no Euclidean tetrahedron for {s}: face "
                 f"({', '.join(_half_text(twice[i]) for i in face)}) breaks the triangle inequality"
             )
-    volume = math.sqrt(_cm_float(cm64, 18432))  # CM / 288 = 64 CM / (64 * 288)
-    a, b, c, d = _embed(s)
+    volume = math.sqrt(_ratio_to_float(cm64, 18432, _TOO_LARGE))  # CM / 288 = 64 CM / (64 * 288)
+    lengths = tuple(x / 2.0 for x in twice)
+    a, b, c, d = _embed(lengths)
     theta_int = (
         _dihedral(b, c, a, d),  # edge j1 = BC
         _dihedral(c, a, b, d),  # edge j2 = CA
@@ -159,7 +156,6 @@ def tet_from_spins(s: SpinSextuple) -> TetGeometry:
         _dihedral(c, d, a, b),  # edge J3 = CD
     )
     theta_ext = tuple(math.pi - th for th in theta_int)
-    lengths = tuple(x / 2.0 for x in twice)
     return TetGeometry(lengths, volume, theta_ext, Fraction(cm64, 64))
 
 
@@ -189,5 +185,5 @@ def discriminant_check(s: SpinSextuple) -> tuple[float, float]:
     32 and agree by construction; the tests check that integer against an
     independent 5x5 determinant.
     """
-    disc = _cm_float(_cm64(s.doubled()), 32)
+    disc = _ratio_to_float(_cm64(s.doubled()), 32, _TOO_LARGE)
     return disc, disc

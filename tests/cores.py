@@ -38,4 +38,4 @@ def phase(parity, s, k: int, geo) -> float:
     """The router's dihedral phase; parity None gives the standard symbol's."""
     d = s.doubled()
     slot = _split(parity, d)[-1] if parity is Parity.BETA else None
-    return _phase(d, k, geo.theta_ext, parity is Parity.GAMMA, slot)
+    return _phase(geo.lengths, k, geo.theta_ext, parity is Parity.GAMMA, slot)

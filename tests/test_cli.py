@@ -210,6 +210,9 @@ class TestUsage:
         assert run(capsys, "eval", "1", "1")[0] == 2
 
 
+BETA_N = 10**20 + 1
+
+
 class TestInputBoundary:
     # face (j1, j2, j3) = (1/2, 1/2, 3/2) is not a triangle, although the
     # Cayley-Menger determinant of the six lengths is positive
@@ -260,12 +263,12 @@ class TestInputBoundary:
     @pytest.mark.parametrize("kind, k, spins", [
         pytest.param("su2", 10**103, ("1",) * 6, id="su2-1e103"),  # k**3 past the float range
         pytest.param("super", 10**400 + 1, HALVES, id="super-1e400+1"),  # k past the float range
+        pytest.param("super", 10**306, ("100",) * 6, id="super-1e306"),  # the cosine argument
     ])
     def test_asym_huge_k_is_usage_error(self, capsys, kind, k, spins):
         code, out, err = run(capsys, "asym", "--kind", kind, "--k", str(k), *spins)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (code, out) == (2, "")
+        assert err == "error: k is too large for the floating-point asymptotic formula\n"
 
     @pytest.mark.parametrize("kind, k, spins", [
         pytest.param("su2", 10**102, ("1",) * 6, id="su2-1e102"),
@@ -281,9 +284,12 @@ class TestInputBoundary:
         pytest.param(("geometry",), (str(10**60),) * 6, id="geometry-regular"),
         pytest.param(("asym", "--kind", "su2", "--k", "1"), (str(10**60),) * 6, id="asym-su2"),
         pytest.param(("asym", "--kind", "super", "--k", "3"), (str(10**60),) * 6, id="asym-super"),
+        pytest.param(("asym", "--kind", "super", "--k", "1"),
+                     (f"{BETA_N}/2", *(str(BETA_N),) * 5), id="asym-beta"),
     ])
     def test_spins_past_the_float_range_are_usage_error(self, capsys, command, spins):
-        # the Cayley-Menger determinant of these spins has no float value
+        # the Cayley-Menger determinant of these spins has no float value; for
+        # {1/2 1 1; 1 1 1} times 10**20 + 1, the beta fourth-root area has none
         code, out, err = run(capsys, *command, *spins)
         assert code == 2
         assert out == ""
@@ -359,15 +365,28 @@ class TestInputBoundary:
         assert asym_code == eval_code == expected
 
 
+def half_text(d: int) -> str:
+    """The spin d/2 as "n" or "m/2"."""
+    return str(d // 2) if d % 2 == 0 else f"{d}/2"
+
+
 # malformed or borderline tokens for the spin and k parsers, and one spin too large
 # for the floating-point geometry
 JUNK = ["", "-", "x", "1/0", "1/3", "-1/2", "nan", "inf", "1e3", "0x10", "1.25", "½", "--k", "3/2/2", " 1", "10" * 40]
 # half-integer spins 0 ... 200 as "n", "n.0" or "m/2"
-HALF_SPIN = st.integers(0, 400).map(lambda d: str(d // 2) if d % 2 == 0 else f"{d}/2")
+HALF_SPIN = st.integers(0, 400).map(half_text)
+# six doubled spins 0 ... 8, or those of an alpha, a beta or a gamma sextuple, times
+# one factor 10**e + c of either parity, so spins reach 4 * 10**60: past the float
+# range of the geometry (about 10**51) and of the beta factors (about 10**15)
+SCALED_SPINS = st.tuples(
+    st.one_of(st.sampled_from([(2,) * 6, (1, 2, 2, 2, 2, 2), (1,) * 6]),
+              st.lists(st.integers(0, 8), min_size=6, max_size=6)),
+    st.builds(lambda e, c: 10**e + c, st.integers(0, 60), st.integers(0, 3)),
+).map(lambda t: [half_text(d * t[1]) for d in t[0]])
 SPIN_TOKEN = st.one_of(HALF_SPIN, HALF_SPIN.map(lambda t: t if "/" in t else f"{t}.0"), st.sampled_from(JUNK))
 K_TOKEN = st.one_of(
     st.integers(-5, 400).map(str),
-    st.sampled_from([10**102, 10**103, 10**300 + 1, 10**400 + 1, 10**4000]).map(str),
+    st.sampled_from([10**102, 10**103, 10**300 + 1, 10**306, 10**400 + 1, 10**4000]).map(str),
     st.sampled_from(JUNK),
 )
 
@@ -385,6 +404,7 @@ class TestFuzzGeometryPath:
         ),
         spins=st.one_of(
             st.lists(HALF_SPIN, min_size=6, max_size=6),
+            SCALED_SPINS,
             st.lists(SPIN_TOKEN, min_size=5, max_size=7),
         ),
         separator=st.booleans(),

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from sixj import (ExactSymbol, ScaledFloat, SixjError, SpinSextuple, asym_for_scaled, asym_standard, exact,
                   scan, sixj_exact, sixj_super_exact, symbols)
-from sixj.exact import exact_to_scaled, factorial_symbol, primes_up_to
+from sixj.exact import _ratio_to_mantissa, exact_to_scaled, factorial_symbol, primes_up_to
 from sixj.symbols import _alternating_sum, _symbol
 from oracles import parts, primes_by_trial_division, squarefree_split
 from test_golden import DATA as GOLDEN, run_cli
@@ -119,6 +119,10 @@ class TestExactSymbol:
         other = ExactSymbol(Fraction(-1, 2), Fraction(3))
         assert value == other and hash(value) == hash(other)
 
+    def test_float_coefficient_is_taken_exactly(self):
+        # the float 0.1 times the square part 3, not the double 0.30000000000000004
+        assert parts(ExactSymbol(0.1, Fraction(9))) == (3 * Fraction(0.1), Fraction(1))
+
     def test_prime_exponent_route_matches_radicand_route(self):
         rng = random.Random(13)
         for _ in range(200):
@@ -140,7 +144,7 @@ def oracle_parts(coeff, radicand) -> tuple[Fraction, Fraction]:
         return Fraction(0), Fraction(1)
     sn, fn = squarefree_split(radicand.numerator)
     sd, fd = squarefree_split(radicand.denominator)
-    return Fraction(coeff * Fraction(sn, sd)), Fraction(fn, fd)
+    return Fraction(coeff) * Fraction(sn, sd), Fraction(fn, fd)
 
 
 BIG_PRIME = 1_000_003  # a prime above 10**6, below the constructor's bound 2**20
@@ -278,8 +282,7 @@ class TestScaledFloat:
         for _ in range(2000):
             q = Fraction(rng.randint(-(10**12), 10**12), rng.randint(1, 10**12))
             got = _scaled(q).to_float()
-            want = float(q)
-            assert got == want or abs(got - want) <= 2 * math.ulp(abs(want))
+            assert got == float(q)
 
     def test_from_float_roundtrip(self):
         rng = random.Random(22)
@@ -328,6 +331,35 @@ class TestScaledFloat:
         for e in (-1074, -600, -52, 0, 52, 600, 1023):
             q = Fraction(2) ** e
             assert _scaled(q) == ScaledFloat(1.0, e)
+
+
+def round_half_even(n: int, d: int) -> tuple[float, int]:
+    """n/d (positive ints) rounded to 53 bits, half to even, in Fraction arithmetic."""
+    q = Fraction(n, d)
+    e = n.bit_length() - d.bit_length()
+    if q < Fraction(2) ** e:
+        e -= 1
+    r = round(q / Fraction(2) ** (e - 52))  # in [2**52, 2**53], ties to even
+    if r == 1 << 53:
+        r, e = 1 << 52, e + 1
+    return r / (1 << 52), e
+
+
+_BIG = st.integers(1, 20000).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
+# an odd 54-bit mantissa, a tie at 53 bits, times 2**x, both sides times c
+_TIE = st.builds(lambda m, x, c: ((m << max(x, 0)) * c, (c << max(-x, 0))),
+                 st.integers(1 << 52, (1 << 53) - 1).map(lambda j: 2 * j + 1),
+                 st.integers(-5000, 5000), _BIG)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nd=st.one_of(st.tuples(_BIG, _BIG), _TIE))
+@example(nd=((1 << 53) + 1, 1))  # a tie rounded down to the even 2**53
+@example(nd=((1 << 53) + 3, 1))  # a tie rounded up to the even 2**53 + 4
+@example(nd=(((1 << 53) - 1) * 2 + 1, 1 << 20001))  # rounds up to the next binade
+@example(nd=(1, (1 << 20000) - 1))
+def test_ratio_to_mantissa_rounds_half_to_even(nd):
+    assert _ratio_to_mantissa(*nd) == round_half_even(*nd)
 
 
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]

@@ -103,7 +103,7 @@ class TestTetGeometry:
                 geo = tet_from_spins(s)
             except NonEuclideanError:
                 continue
-            a, b, c, d = _embed(s)
+            a, b, c, d = _embed(geo.lengths)
             j1, j2, j3, J1, J2, J3 = (float(x) for x in s.spins)
             assert geo.lengths == (j1, j2, j3, J1, J2, J3)
             dist = lambda p, q: math.dist(p, q)
