@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sixj import IntegralityViolation, Parity, SpinSextuple, SixjError, TriangleViolation, tet_from_spins
 from sixj.asymptotics import _polar, asym_alpha, asym_beta, asym_for_scaled, asym_gamma, asym_standard
 from sixj.errors import KParityError
 from sixj.geometry import saddle_coeff_a, saddle_coeff_b, saddle_coeff_c
+from sixj.halfint import HalfInt
 from sixj.triangles import beta_decompose, triangle_sums
 from cores import phase, shift
 from oracles import random_admissible
@@ -388,3 +391,35 @@ class TestPointwiseConvergence:
                 sixj_super_exact(BETA_EUCLIDEAN.scaled(k))
             )
             assert abs(ratio - 1.0) < 0.02
+
+
+DOMAIN = 2**40  # k * max(2j) of the floating-point asymptotics
+
+
+@st.composite
+def doubled_spins_and_k(draw):
+    """Doubled spins up to 2**20, Euclidean near a regular tetrahedron or drawn at random,
+    and k on either side of the domain: at its edge, inside it or up to 64 times past it."""
+    base = draw(st.integers(10, 5 * 2**20 // 6))
+    near_regular = [base + draw(st.integers(-(base // 5), base // 5)) for _ in range(6)]
+    d = draw(st.one_of(st.just(near_regular), st.lists(st.integers(0, 2**20), min_size=6, max_size=6)))
+    if draw(st.booleans()):
+        d = [x - x % 2 for x in d]  # integer spins: every k is SU(2)-admissible
+    top = (DOMAIN - 1) // max(max(d), 1)
+    k = draw(st.one_of(st.sampled_from([top, top + 1]), st.integers(1, top), st.integers(top + 1, 64 * top)))
+    return d, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(doubled_spins_and_k())
+def test_answers_are_finite_with_an_angle_inside_the_domain(case):
+    # an answer keeps its phase and a non-zero envelope; past the domain the entries refuse
+    d, k = case
+    s = SpinSextuple(*(HalfInt(x) for x in d))
+    for entry in (asym_standard, asym_for_scaled):
+        try:
+            res = entry(s, k)
+        except (SixjError, ValueError):
+            continue
+        assert all(map(math.isfinite, (res.amplitude, res.angle, res.value))), (d, k, res)
+        assert res.amplitude > 0.0 and abs(res.angle) < 2**44, (d, k, res)

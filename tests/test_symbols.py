@@ -18,7 +18,7 @@ from sixj import (
     sixj_exact,
     sixj_super_exact,
 )
-from sixj import symbols
+from sixj import asymptotics, symbols
 from sixj.exact import factorial_symbol
 from sixj.symbols import _alternating_sum, _brackets, _check_cost, _super_prefactor_args, _symbol
 from sixj.triangles import _sums, beta_decompose, classify_parity, is_admissible, triangle_sums
@@ -368,22 +368,38 @@ def osp_sextuples(draw, max_twice=80):
     return s
 
 
+# the shapes the bound was sized on, measured one process at a time: many terms
+# (63 s at the bound), and one term with large factorials (2 s or less, under 75 MB)
+CALIBRATION = [
+    ((1, 1, 1, 1, 1, 1), 64051, 64052),
+    ((1, 1, 0, 1, 1, 0), 6243755, 6243756),  # factorials up to 2N + 1 = n - 1
+    ((HALF,) * 6, 128102, 128104),  # all halves at 2k: the spins of all ones at k
+    ((0, 0, 0, 1, 1, 1), 6243755, 6243756),  # factorials up to 2N + 1 = n - 1
+]
+
+
 class TestCostBound:
     """The exact evaluation's cost bound, checked by calculation: no test here evaluates near it."""
 
-    @pytest.mark.parametrize("spins, accepted, refused", [
-        # the shapes the bound was sized on, measured one process at a time: many terms
-        # (63 s at the bound), and one term with large factorials (2 s or less, under 75 MB)
-        ((1, 1, 1, 1, 1, 1), 64051, 64052),
-        ((1, 1, 0, 1, 1, 0), 6243755, 6243756),  # factorials up to 2N + 1 = n - 1
-        ((HALF,) * 6, 128102, 128104),  # all halves at 2k: the spins of all ones at k
-        ((0, 0, 0, 1, 1, 1), 6243755, 6243756),  # factorials up to 2N + 1 = n - 1
-    ])
+    @pytest.mark.parametrize("spins, accepted, refused", CALIBRATION)
     def test_sized_on_the_calibration_shapes(self, spins, accepted, refused):
         base = SpinSextuple.of(*spins)
         _check_cost(*_cost_args(base.scaled(accepted)))
         with pytest.raises(ValueError, match="^spins are too large for exact evaluation$"):
             _check_cost(*_cost_args(base.scaled(refused)))
+
+    def test_accepted_evaluations_lie_inside_the_asymptotic_domain(self):
+        # w_i >= k v_i / 2 and v_i >= twice each doubled spin of its face, so max(w) >= k max(2j);
+        # n - 1 >= max(w) + 1 and an accepted cost has 1001 n log2 n <= MAX_EXACT_COST. So every
+        # accepted k * max(2j) is below 2**25, far inside the asymptotics' 2**40, and scan, which
+        # checks the cost of every k first, never meets the asymptotic refusal
+        n = 12487512  # the largest n with 1001 n log2 n <= MAX_EXACT_COST
+        assert 1001 * n * n.bit_length() <= symbols.MAX_EXACT_COST < 1001 * (n + 1) * (n + 1).bit_length()
+        assert n - 2 < 2**25 < asymptotics._DOMAIN
+        for spins, accepted, _ in CALIBRATION:
+            s = SpinSextuple.of(*spins).scaled(accepted)
+            assert max(s.doubled()) <= max(_cost_args(s)[0]) <= n - 2
+            assert max(s.doubled()) <= 1.25 * 10**7
 
     @pytest.mark.parametrize("evaluate, spins", [
         (sixj_exact, (101,) * 6),
