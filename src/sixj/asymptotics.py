@@ -26,10 +26,11 @@ the doubled spins:
 
 Every entry runs one gate, _scaled: the exact evaluator's admissibility check
 of k*s, whose parity the router takes (so even k takes the alpha formula),
-KParityError in a per-parity entry at another parity, the geometry, and then
-the float formulas' domain, k * max(2j) < 2**40 on exact ints, where the
-cosine argument is rounded to 2**-10 rad at most.  The two-term forms
-a cos(x) + b sin(x) are N cos(x - psi) with a quadrant-correct psi = atan2(b, a).
+KParityError in a per-parity entry at another parity, the geometry (a geo
+passed in must be tet_from_spins(s)), and then the float formulas' domain,
+k * max(2j) < 2**40 on exact ints, where the cosine argument is rounded to
+2**-10 rad at most.  The two-term forms a cos(x) + b sin(x) are N cos(x - psi)
+with a quadrant-correct psi = atan2(b, a).
 """
 
 from __future__ import annotations
@@ -150,13 +151,17 @@ def _check_scaled(v, p, k: int, algebra) -> Parity:
 
 def _scaled(s: SpinSextuple, k: int, algebra: str, geo: TetGeometry | None, want: Parity | None = None):
     """(d, v, p, parity, geo), in order: the doubled spins and sums of s, the parity of k*s
-    (KParityError unless it is want), the geometry; ValueError past the float domain."""
+    (KParityError unless it is want), the geometry (ValueError for a geo that is not
+    tet_from_spins(s)); ValueError past the float domain."""
     d = s.doubled()
     v, p = _sums(d)
     parity = _check_scaled(v, p, _scale_factor(k), algebra)
     if want not in (None, parity):
         raise KParityError(f"{want.value} formula does not apply at k={k}: k*s has {parity.value} parity")
-    geo = geo or tet_from_spins(s)
+    if geo is None:
+        geo = tet_from_spins(s)
+    elif geo.lengths != tuple([x / 2.0 for x in d]):  # exact below the float domain
+        raise ValueError(f"geo has lengths {geo.lengths}, not the spins of {s}")
     if k * max(d) >= _DOMAIN:
         raise ValueError("k times the largest spin must be below 2**39 for the floating-point asymptotics")
     return d, v, p, parity, geo

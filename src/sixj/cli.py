@@ -128,8 +128,6 @@ def _dispatch(args) -> int:
 
     if args.command == "asym":
         s = SpinSextuple.parse(args.spins)
-        if args.k < 1:
-            raise ValueError("--k must be a positive integer")
         res = asym_standard(s, args.k) if args.kind == "su2" else asym_for_scaled(s, args.k)
         print(f"parity    {res.parity_used}")
         print(f"amplitude {res.amplitude!r}")

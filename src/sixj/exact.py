@@ -173,7 +173,7 @@ class ExactSymbol(Record):
 
     @classmethod
     def zero(cls) -> "ExactSymbol":
-        return cls(Fraction(0), Fraction(1))
+        return cls._stored(Fraction(0), Fraction(1))
 
     @classmethod
     def from_prime_exponents(cls, num: int, primes, rad, coef, den: int) -> "ExactSymbol":
@@ -201,10 +201,7 @@ class ExactSymbol(Record):
         q = Fraction(num * mult_num, den * mult_den)
         if not q:
             return cls.zero()
-        value = object.__new__(cls)
-        object.__setattr__(value, "coeff", q)
-        object.__setattr__(value, "radicand", Fraction(rad_num, rad_den))
-        return value
+        return cls._stored(q, Fraction(rad_num, rad_den))
 
     # -- queries -----------------------------------------------------------
 

@@ -47,17 +47,9 @@ class ScanRecord(Record):
     angle: float
 
     def row(self) -> dict:
-        return {
-            "k": self.k,
-            "parity": self.parity,
-            "exact_mantissa": self.exact.mantissa,
-            "exact_exp2": self.exact.exp2,
-            "exact_float": self.exact.to_float(),
-            "asym": self.asym,
-            "abs_err": self.abs_err,
-            "amplitude": self.amplitude,
-            "angle": self.angle,
-        }
+        return dict(zip(CSV_COLUMNS, (self.k, self.parity, self.exact.mantissa, self.exact.exp2,
+                                      self.exact.to_float(), self.asym, self.abs_err,
+                                      self.amplitude, self.angle)))
 
 
 class SlopeFit(Record):
@@ -79,10 +71,7 @@ def scan(s: SpinSextuple, kind: str, k_list: list[int]) -> list[ScanRecord]:
     """
     if kind not in ("su2", "super"):
         raise ValueError(f"kind must be 'su2' or 'super', got {kind!r}")
-    try:
-        ks = [_scale_factor(k) for k in k_list]
-    except ValueError:
-        raise ValueError("scan k values must be positive integers") from None
+    ks = list(map(_scale_factor, k_list))
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("scan k values must be strictly ascending")
     if not ks:
@@ -165,18 +154,10 @@ def envelope_slope(records: list[ScanRecord]) -> SlopeFit:
 
 
 def write_csv(records: list[ScanRecord], fh) -> None:
-    """Emit the fixed-column CSV; float cells use shortest round-trip repr."""
+    """Emit the fixed-column CSV; csv writes a float as its shortest round-trip repr."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in records:
-        row = r.row()
-        writer.writerow([_cell(row[c]) for c in CSV_COLUMNS])
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    writer.writerows(r.row().values() for r in records)
 
 
 def read_csv(fh) -> list[ScanRecord]:
@@ -207,14 +188,14 @@ def _record(header: list[str], cells: list[str], last_k: int) -> ScanRecord:
     if len(cells) != len(header):
         raise ValueError(f"{len(cells)} cells, the header has {len(header)}")
     row = dict(zip(header, cells))
-    k, exp2 = int(row["k"]), int(row["exact_exp2"])
+    k, parity, mantissa, exp2, _, *floats = (row[c] for c in CSV_COLUMNS)  # exact_float is derived
+    k, exp2 = int(k), int(exp2)
     if k <= last_k:
         raise ValueError("k values must be positive and strictly ascending")
     if abs(exp2) > 2**53:  # past it, abs_log2 is not exact
         raise ValueError(f"exact_exp2 {exp2} is out of range")
-    # the last four columns are the float fields, in ScanRecord order
-    floats = [float(row[c]) for c in CSV_COLUMNS[5:]]
-    return ScanRecord(k, row["parity"], ScaledFloat(float(row["exact_mantissa"]), exp2), *floats)
+    floats = list(map(float, floats))
+    return ScanRecord(k, parity, ScaledFloat(float(mantissa), exp2), *floats)
 
 
 def write_json(records: list[ScanRecord], fh) -> None:

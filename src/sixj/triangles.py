@@ -64,7 +64,7 @@ class SpinSextuple(Record):
 
     def __init__(self, j1: HalfInt, j2: HalfInt, j3: HalfInt,
                  J1: HalfInt, J2: HalfInt, J3: HalfInt):
-        _store(self, (j1.twice, j2.twice, j3.twice, J1.twice, J2.twice, J3.twice))
+        _store(self, tuple(map(_twice_of, (j1, j2, j3, J1, J2, J3))))
 
     @classmethod
     def _of_doubled(cls, d: tuple[int, ...]) -> "SpinSextuple":

@@ -313,6 +313,20 @@ class TestOneGate:
             entry(ALL_ONES, k)
 
 
+@pytest.mark.parametrize("entry", [asym_standard, asym_for_scaled], ids=lambda f: f.__name__)
+def test_geo_of_another_sextuple_is_refused(entry):
+    # the geometry of 2*s read as that of s gave amplitude 0.266, not 0.671
+    with pytest.raises(ValueError, match=r"^geo has lengths \(2\.0, 2\.0, 2\.0, 2\.0, 2\.0, 2\.0\), "):
+        entry(ALL_ONES, 3, tet_from_spins(ALL_ONES.scaled(2)))
+    # a geometry built apart from s, of equal spins, is the geometry of s
+    assert entry(ALL_ONES, 3, tet_from_spins(SpinSextuple.of(1, 1, 1, 1, 1, 1))) == entry(ALL_ONES, 3)
+
+
+def test_parity_mismatch_comes_before_the_geo_check():
+    with pytest.raises(KParityError):
+        asym_gamma(ALL_ONES, 3, tet_from_spins(ALL_ONES.scaled(2)))
+
+
 @pytest.mark.parametrize(
     "entry, s, k, parity",
     [

@@ -368,6 +368,15 @@ class TestInputBoundary:
         code, out, err = run(capsys, "scan", *k_range, *("1",) * 6)
         assert (code, out, err) == (2, "", "error: a scan takes at most 100000 k values\n")
 
+    @pytest.mark.parametrize("command", [
+        ("asym", "--k", "0"),
+        ("scan", "--k", "0"),
+        ("scan", "--k-from", "0", "--k-to", "3"),
+    ], ids=["asym", "scan-k", "scan-range"])
+    def test_k_below_one_has_the_scale_factor_message(self, capsys, command):
+        code, out, err = run(capsys, *command, *("1",) * 6)
+        assert (code, out, err) == (2, "", "error: scale factor must be a positive integer, got 0\n")
+
     @pytest.mark.parametrize("command", [("geometry",)])
     def test_large_spins_still_print(self, capsys, command):
         code, out, _ = run(capsys, *command, *(str(10**50),) * 6)

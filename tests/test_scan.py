@@ -85,7 +85,7 @@ class TestScan:
     def test_rejects_unsorted_or_nonpositive(self):
         with pytest.raises(ValueError):
             scan(ALL_ONES, "su2", [3, 2])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^scale factor must be a positive integer, got 0$"):
             scan(ALL_ONES, "su2", [0, 1])
         with pytest.raises(ValueError):
             scan(ALL_ONES, "bogus", [1])
@@ -194,6 +194,25 @@ class TestSerialisation:
             assert a.asym == b.asym and a.abs_err == b.abs_err
             assert a.amplitude == b.amplitude and a.angle == b.angle
             assert a.parity == b.parity
+
+    def test_float_cells_are_their_repr(self):
+        # every special float in every float field, and an exact_float that saturates or underflows
+        specials = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16, 0.1]
+        exps = [0, 1100, -1080, 3, -3, 52, 1]
+        records = [ScanRecord(k, "beta", ScaledFloat(-1.5, exps[k - 1]), *(specials[(k + i) % 7] for i in range(4)))
+                   for k in range(1, 8)]
+        text = csv_text(records)
+        for line, rec in zip(text.splitlines()[1:], records, strict=True):
+            floats = [rec.exact.to_float(), rec.asym, rec.abs_err, rec.amplitude, rec.angle]
+            assert line.split(",") == [str(rec.k), "beta", "-1.5", str(rec.exact.exp2), *map(repr, floats)]
+
+        def same(a: float, b: float) -> bool:
+            return math.isnan(a) and math.isnan(b) or (a, math.copysign(1.0, a)) == (b, math.copysign(1.0, b))
+
+        for a, b in zip(records, read_csv(io.StringIO(text)), strict=True):
+            assert (a.k, a.parity, a.exact) == (b.k, b.parity, b.exact)
+            for name in ("asym", "abs_err", "amplitude", "angle"):
+                assert same(getattr(a, name), getattr(b, name)), (a.k, name)
 
     def test_scan_deterministic_output(self):
         a = csv_text(scan(ALL_HALVES, "super", [1, 3, 5, 7]))

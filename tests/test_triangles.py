@@ -226,6 +226,14 @@ class TestSextupleEdge:
     def test_bool_spin_is_an_int(self):
         assert SpinSextuple.of(True, 1, 1, 1, 1, 1) == SpinSextuple.of(1, 1, 1, 1, 1, 1)
 
+    def test_constructor_reads_spins_as_of_does(self):
+        assert SpinSextuple(1, 1, 1, 1, 1, Fraction(1, 2)) == SpinSextuple.of(1, 1, 1, 1, 1, Fraction(1, 2))
+        assert SpinSextuple(HalfInt(1), 1, 0, 2, Fraction(3, 2), 3).doubled() == (1, 2, 0, 4, 3, 6)
+
+    def test_constructor_refuses_text(self):
+        with pytest.raises(TypeError, match=r"^cannot build HalfInt from str$"):
+            SpinSextuple("1", 1, 1, 1, 1, 1)
+
     def test_doubled(self):
         assert SpinSextuple.of(HALF, 1, 0, 2, Fraction(3, 2), 3).doubled() == (1, 2, 0, 4, 3, 6)
 

@@ -1,7 +1,7 @@
-"""Every computed value is pinned by five sha256 prefixes over the benchmark's inputs.
+"""Every computed value is pinned by sha256 prefixes over the benchmark's inputs.
 
 A change that keeps the golden set but moves any value, a last digit of a
-scan CSV or the stored (coeff, radicand) of one symbol, fails here.  The
+scan CSV or JSON or the stored (coeff, radicand) of one symbol, fails here.  The
 inputs and passes are the benchmark's own (``perfbench/inputs.py`` and
 ``perfbench/passes.py``), read without change, so the hashes also say that a
 benchmark pass computes what it computed before.
@@ -63,6 +63,20 @@ def test_scan_cli_csv_and_slope(tmp_path, entry, want):
     with contextlib.redirect_stdout(slope):
         assert cli_main(["slope", path]) == 0
     assert sha(Path(path).read_text() + "\n" + slope.getvalue()) == want
+
+
+@pytest.mark.parametrize("entry, want", zip(inputs.SCAN_SEXTUPLES, [
+    "4eb11669c374c25f", "3e9d64ad539d46fb", "b1d46397005c5786",
+]), ids=lambda x: x if isinstance(x, str) else x[0])
+def test_scan_cli_json(entry, want):
+    kind, doubled = entry
+    k_from, k_to, k_step = map(str, inputs.SCAN_K)
+    spins = [inputs.spin_text(x) for x in doubled]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(["scan", "--kind", kind, "--k-from", k_from, "--k-to", k_to, "--k-step", k_step,
+                         "--format", "json", *spins]) == 0
+    assert sha(out.getvalue()) == want
 
 
 def test_every_doubled_sextuple_up_to_six():
