@@ -9,14 +9,12 @@ the README lists; everything else stays in its submodule.
 from .asymptotics import AsymptoticResult, asym_for_scaled, asym_standard
 from .errors import (
     AdmissibilityError,
-    DegenerateFactorError,
     InsufficientExtremaError,
     IntegralityViolation,
     NonEuclideanError,
     ParityViolation,
     SixjError,
     TriangleViolation,
-    UndefinedShiftError,
 )
 from .exact import ExactSymbol, ScaledFloat
 from .geometry import TetGeometry, discriminant_check, tet_from_spins
@@ -30,7 +28,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticResult",
     "AdmissibilityError",
-    "DegenerateFactorError",
     "ExactSymbol",
     "HalfInt",
     "InsufficientExtremaError",
@@ -45,7 +42,6 @@ __all__ = [
     "SpinSextuple",
     "TetGeometry",
     "TriangleViolation",
-    "UndefinedShiftError",
     "asym_for_scaled",
     "asym_standard",
     "discriminant_check",

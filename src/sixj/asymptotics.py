@@ -27,18 +27,21 @@ the doubled spins:
 Every entry runs one gate, _scaled: the exact evaluator's admissibility check
 of k*s, whose parity the router takes (so even k takes the alpha formula),
 KParityError in a per-parity entry at another parity, the geometry (a geo
-passed in must be tet_from_spins(s)), and then the float formulas' domain,
-k * max(2j) < 2**40 on exact ints, where the cosine argument is rounded to
-2**-10 rad at most.  The two-term forms a cos(x) + b sin(x) are N cos(x - psi)
-with a quadrant-correct psi = atan2(b, a).
+passed in must have the lengths of s, and s is refused as tet_from_spins(s)
+refuses it: a flat or non-Euclidean s raises NonEuclideanError either way),
+and then the float formulas' domain, k * max(2j) < 2**40 on exact ints, where
+the cosine argument is rounded to 2**-10 rad at most.  That gate is the only
+refusal: past it every root has a positive argument and every phase shift is
+defined.  The two-term forms a cos(x) + b sin(x) are N cos(x - psi) with a
+quadrant-correct psi = atan2(b, a).
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DegenerateFactorError, KParityError, UndefinedShiftError
-from .geometry import TetGeometry, _saddle, tet_from_spins
+from .errors import KParityError
+from .geometry import TetGeometry, _saddle, _unflat_cm64, tet_from_spins
 # bound here as well: perfbench/tracer.py resolves the saddle coefficients in this module
 from .geometry import saddle_coeff_a, saddle_coeff_b, saddle_coeff_c  # noqa: F401
 from .record import Record
@@ -67,8 +70,6 @@ class AsymptoticResult(Record):
 
 def _polar(a: float, b: float) -> tuple[float, float]:
     """(N, psi) with a*cos(x) + b*sin(x) = N*cos(x - psi)."""
-    if a == 0.0 and b == 0.0:
-        raise UndefinedShiftError("both cosine and sine coefficients vanish")
     return math.hypot(a, b), math.atan2(b, a)
 
 
@@ -77,7 +78,8 @@ def _shift(parity: Parity, d, v, split, vol24: float) -> tuple[float, float]:
 
     alpha: N = sqrt(B^2 + (24V)^2), psi = atan2(24V, B); gamma shares N with
     psi negated; beta combines the full cosine coefficient (including the
-    B-term) with 24V*(pbar*pbar' - vv').
+    B-term) with 24V*(pbar*pbar' - vv').  The sine coefficient is never 0, so
+    psi is defined: V > 0, and the doubled pbar*pbar' - vv' is odd.
     """
     _, b4, c16 = _saddle(d, v)
     if split is None:
@@ -111,16 +113,17 @@ def _phase(spins, k: int, theta, gamma: bool = False, slot: int | None = None) -
 
 
 def _beta_factors(v, p, split) -> tuple[float, float, float]:
-    """sqrt argument, fourth-root ratio and fourth-root area of the beta amplitude."""
+    """sqrt argument, fourth-root ratio and fourth-root area of the beta amplitude.
+
+    Every factor is positive: the twelve p_j - v_i are the faces' triangle
+    inequalities, and a face with a zero one, or a zero v_i, is flat, which
+    makes CM <= 0, refused by the gate.
+    """
     area = math.prod(pj - vi for pj in p for vi in v) * math.prod(v)
-    if area <= 0:
-        raise DegenerateFactorError("degenerate triangle: fourth-root area factor vanishes")
     V, Vp, Vb, Vbp, P, Pb, Pbp, *_ = split
     mixed_int = (P - V) * (P - Vp) * (Pb - V) * (Pb - Vp) * (Pbp - V) * (Pbp - Vp) * V * Vp
     mixed_half = (Pb - Vb) * (Pb - Vbp) * (Pbp - Vb) * (Pbp - Vbp) * (P - Vb) * (P - Vbp) * Vb * Vbp
-    front = (P - V) * (P - Vp)  # over Vb * Vbp, positive as area is
-    if front <= 0 or mixed_int <= 0 or mixed_half <= 0:
-        raise DegenerateFactorError("degenerate triangle: fourth-root factor vanishes")
+    front = (P - V) * (P - Vp)  # over Vb * Vbp
     # each ratio of doubled ints is the rational of the spin form, rounded once
     return front / (Vb * Vbp), mixed_half / mixed_int, area / 65536
 
@@ -151,8 +154,10 @@ def _check_scaled(v, p, k: int, algebra) -> Parity:
 
 def _scaled(s: SpinSextuple, k: int, algebra: str, geo: TetGeometry | None, want: Parity | None = None):
     """(d, v, p, parity, geo), in order: the doubled spins and sums of s, the parity of k*s
-    (KParityError unless it is want), the geometry (ValueError for a geo that is not
-    tet_from_spins(s)); ValueError past the float domain."""
+    (KParityError unless it is want), the geometry (a geo passed in is refused as
+    tet_from_spins(s) refuses s, then with ValueError unless its lengths are those of s;
+    its volume and angles are trusted); ValueError past the float domain.  Past the gate
+    no formula can fail."""
     d = s.doubled()
     v, p = _sums(d)
     parity = _check_scaled(v, p, _scale_factor(k), algebra)
@@ -160,8 +165,10 @@ def _scaled(s: SpinSextuple, k: int, algebra: str, geo: TetGeometry | None, want
         raise KParityError(f"{want.value} formula does not apply at k={k}: k*s has {parity.value} parity")
     if geo is None:
         geo = tet_from_spins(s)
-    elif geo.lengths != tuple([x / 2.0 for x in d]):  # exact below the float domain
-        raise ValueError(f"geo has lengths {geo.lengths}, not the spins of {s}")
+    else:  # refused as tet_from_spins refuses s; admissibility of k*s implies its faces
+        _unflat_cm64(s, d)
+        if geo.lengths != tuple([x / 2.0 for x in d]):  # exact below the float domain
+            raise ValueError(f"geo has lengths {geo.lengths}, not the spins of {s}")
     if k * max(d) >= _DOMAIN:
         raise ValueError("k times the largest spin must be below 2**39 for the floating-point asymptotics")
     return d, v, p, parity, geo

@@ -2,7 +2,7 @@
 
 Subcommands: eval, classify, geometry, asym, scan, slope.  Spins are given
 as six positional half-integer strings ("2", "3/2", "1.5").  Exit codes:
-0 success, 2 usage, 3 admissibility error, 4 degenerate/non-Euclidean
+0 success, 2 usage, 3 admissibility error, 4 non-Euclidean (or flat)
 geometry.
 """
 
@@ -12,13 +12,7 @@ import argparse
 import sys
 
 from .asymptotics import asym_for_scaled, asym_standard
-from .errors import (
-    AdmissibilityError,
-    DegenerateFactorError,
-    InsufficientExtremaError,
-    NonEuclideanError,
-    UndefinedShiftError,
-)
+from .errors import AdmissibilityError, InsufficientExtremaError, NonEuclideanError
 from .geometry import tet_from_spins
 from .halfint import _half_text
 from .scan import envelope_slope, k_range, read_csv, scan, write_csv, write_json
@@ -95,7 +89,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except AdmissibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ADMISSIBILITY
-    except (NonEuclideanError, DegenerateFactorError, UndefinedShiftError) as exc:
+    except NonEuclideanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GEOMETRY
     except (ValueError, InsufficientExtremaError, OSError) as exc:

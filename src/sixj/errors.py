@@ -31,13 +31,5 @@ class KParityError(SixjError):
     """A per-parity asymptotic formula was asked for at a k where k*s has another parity."""
 
 
-class DegenerateFactorError(SixjError):
-    """A factor under a fourth root in the beta asymptotics is non-positive."""
-
-
-class UndefinedShiftError(SixjError):
-    """Both cosine and sine coefficients vanish; the phase shift is undefined."""
-
-
 class InsufficientExtremaError(SixjError):
     """Fewer than three local maxima are available for an envelope fit."""

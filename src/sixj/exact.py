@@ -151,7 +151,7 @@ class ExactSymbol(Record):
     radicand: Fraction
 
     def __post_init__(self):
-        coeff, radicand = self.coeff, self.radicand
+        coeff, radicand = self.coeff, Fraction(self.radicand)
         if radicand < 0:
             raise ValueError("radicand must be non-negative")
         if coeff == 0 or radicand == 0:

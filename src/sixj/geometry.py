@@ -61,6 +61,18 @@ def _cm64(d) -> int:
     return 2 * (2 * a2 * c16 - b4 * b4)
 
 
+def _unflat_cm64(s: SpinSextuple, d) -> int:
+    """64 CM of s, whose doubled spins are d; NonEuclideanError when CM counts as flat."""
+    cm64 = _cm64(d)
+    # CM <= 1e-12 (max j)^6 counts as flat; times 64 * 10**12 on doubled spins
+    if 10**12 * cm64 <= max(d) ** 6:
+        raise NonEuclideanError(
+            f"no Euclidean tetrahedron for {s}: Cayley-Menger determinant "
+            f"{_ratio_to_float(cm64, 64, _TOO_LARGE):.6g}"
+        )
+    return cm64
+
+
 def cayley_menger(s: SpinSextuple) -> Fraction:
     """Exact Cayley-Menger determinant (= 288 V^2) for edge lengths = spins.
 
@@ -130,13 +142,7 @@ def tet_from_spins(s: SpinSextuple) -> TetGeometry:
     ValueError when the determinant has no float value.
     """
     twice = s.doubled()
-    cm64 = _cm64(twice)
-    # CM <= 1e-12 (max j)^6 counts as flat; times 64 * 10**12 on doubled spins
-    if 10**12 * cm64 <= max(twice) ** 6:
-        raise NonEuclideanError(
-            f"no Euclidean tetrahedron for {s}: Cayley-Menger determinant "
-            f"{_ratio_to_float(cm64, 64, _TOO_LARGE):.6g}"
-        )
+    cm64 = _unflat_cm64(s, twice)
     for face in _FACES:
         a, b, c = sorted(twice[i] for i in face)
         if a + b < c:

@@ -13,7 +13,7 @@ import csv
 import math
 
 from .asymptotics import _check_scaled, _running_sum, asym_for_scaled, asym_standard
-from .errors import InsufficientExtremaError, SixjError
+from .errors import AdmissibilityError, InsufficientExtremaError
 from .exact import ScaledFloat
 from .geometry import tet_from_spins
 from .record import Record
@@ -77,32 +77,24 @@ def scan(s: SpinSextuple, kind: str, k_list: list[int]) -> list[ScanRecord]:
     if not ks:
         return []
     v, p = _sums(s.doubled())
-    # as eval would at the first k: admissibility before any geometry error
-    try:
-        _check_scaled(v, p, ks[0], "su2" if kind == "su2" else "osp12")
-    except SixjError as exc:
-        raise type(exc)(f"k={ks[0]}: {exc}") from exc
+    # refused before any evaluation, in eval's order: admissibility at every k, cost, geometry
+    for k in ks:
+        try:
+            _check_scaled(v, p, k, "su2" if kind == "su2" else "osp12")
+        except AdmissibilityError as exc:
+            raise type(exc)(f"k={k}: {exc}") from exc
     spent = 0  # the kernel's cost, summed over every k
     for k in ks:
         w, m = _brackets(v, p, k)
         spent = _check_cost(w, m, max(w), min(m), spent)
     geo = tet_from_spins(s)
+    exact_of, asym_of = (sixj_exact, asym_standard) if kind == "su2" else (sixj_super_exact, asym_for_scaled)
     records = []
     for k in ks:
-        scaled = s.scaled(k)
-        try:
-            if kind == "su2":
-                exact = sixj_exact(scaled).to_scaled()
-                res = asym_standard(s, k, geo)
-                parity = "su2"
-            else:
-                exact = sixj_super_exact(scaled).to_scaled()
-                res = asym_for_scaled(s, k, geo)
-                parity = res.parity_used
-        except SixjError as exc:
-            raise type(exc)(f"k={k}: {exc}") from exc
-        records.append(ScanRecord(k, parity, exact, res.value, abs(exact.to_float() - res.value),
-                                  res.amplitude, res.angle))
+        exact = exact_of(s.scaled(k)).to_scaled()
+        res = asym_of(s, k, geo)
+        records.append(ScanRecord(k, "su2" if kind == "su2" else res.parity_used, exact, res.value,
+                                  abs(exact.to_float() - res.value), res.amplitude, res.angle))
     return records
 
 
@@ -163,8 +155,8 @@ def write_csv(records: list[ScanRecord], fh) -> None:
 def read_csv(fh) -> list[ScanRecord]:
     """Parse a scan CSV back into records (exact values from mantissa/exp2).
 
-    Raises ValueError, naming the line, on malformed CSV, on missing
-    columns, on a row whose cell count differs from the header's, on a cell
+    Raises ValueError, naming the line, on malformed CSV, on missing or
+    duplicate columns, on a row whose cell count differs from the header's, on a cell
     that does not parse, on an exact_exp2 past 2**53 and on k values that
     are not positive and strictly ascending, the rule scan enforces.
     """
@@ -175,6 +167,10 @@ def read_csv(fh) -> list[ScanRecord]:
         missing = set(CSV_COLUMNS) - set(header)
         if missing:
             raise ValueError(f"missing columns {sorted(missing)}")
+        names = sorted(header)
+        twice = sorted({a for a, b in zip(names, names[1:]) if a == b})
+        if twice:
+            raise ValueError(f"duplicate columns {twice}")
         for cells in reader:
             if cells:  # [] is a blank line
                 records.append(_record(header, cells, records[-1].k if records else 0))

@@ -43,7 +43,7 @@ class Parity(str, enum.Enum):
     BETA = "beta"
     GAMMA = "gamma"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return self.value
 
 
@@ -107,10 +107,10 @@ class SpinSextuple(Record):
 
 def _scale_factor(k) -> int:
     """k, once it is a positive int: the one check of every scale factor."""
-    if k < 1:
-        raise ValueError(f"scale factor must be a positive integer, got {k}")
     if not isinstance(k, int):
         raise TypeError(f"scale factor must be an int, got {type(k).__name__}")
+    if k < 1:
+        raise ValueError(f"scale factor must be a positive integer, got {k}")
     return k
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,12 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sixj import IntegralityViolation, Parity, SpinSextuple, SixjError, TriangleViolation, tet_from_spins
+from sixj import (
+    AdmissibilityError,
+    IntegralityViolation,
+    NonEuclideanError,
+    Parity,
+    SixjError,
+    SpinSextuple,
+    TetGeometry,
+    TriangleViolation,
+    tet_from_spins,
+)
 from sixj.asymptotics import _polar, asym_alpha, asym_beta, asym_for_scaled, asym_gamma, asym_standard
 from sixj.errors import KParityError
 from sixj.geometry import saddle_coeff_a, saddle_coeff_b, saddle_coeff_c
 from sixj.halfint import HalfInt
-from sixj.triangles import beta_decompose, triangle_sums
+from sixj.triangles import _check, _sums, beta_decompose, triangle_sums
 from cores import phase, shift
 from oracles import random_admissible
 
@@ -307,9 +318,10 @@ class TestOneGate:
         with pytest.raises(ValueError, match=f"^scale factor must be a positive integer, got {k}$"):
             entry(ALL_ONES, k)
 
-    @pytest.mark.parametrize("k", [1.0, 2.0, 1.5])
+    @pytest.mark.parametrize("k", [1.0, 2.0, 1.5, 0.5, -1.0, "3", None])
     def test_k_must_be_an_int(self, entry, k):
-        with pytest.raises(TypeError, match="^scale factor must be an int, got float$"):
+        # the type before the range: 0.5 and -1.0 are not ints either
+        with pytest.raises(TypeError, match=f"^scale factor must be an int, got {type(k).__name__}$"):
             entry(ALL_ONES, k)
 
 
@@ -320,6 +332,52 @@ def test_geo_of_another_sextuple_is_refused(entry):
         entry(ALL_ONES, 3, tet_from_spins(ALL_ONES.scaled(2)))
     # a geometry built apart from s, of equal spins, is the geometry of s
     assert entry(ALL_ONES, 3, tet_from_spins(SpinSextuple.of(1, 1, 1, 1, 1, 1))) == entry(ALL_ONES, 3)
+
+
+def forged(s: SpinSextuple) -> TetGeometry:
+    """A geometry with the lengths of s, volume 1.0 and every exterior angle 1.0."""
+    return TetGeometry(tuple(x / 2.0 for x in s.doubled()), 1.0, (1.0,) * 6, Fraction(1))
+
+
+@pytest.mark.parametrize("entry, text", [
+    (asym_for_scaled, "0 0 0 0 0 0"),  # alpha; ZeroDivisionError without the check
+    (asym_for_scaled, "0 1/2 1/2 1/2 1/2 1/2"),  # beta; a zero fourth-root factor
+    (asym_for_scaled, "1 1 3/2 1 1 3/2"),  # gamma, CM < 0; amplitude 0.501 without the check
+    (asym_standard, "0 0 0 0 0 0"),
+])
+def test_forged_geo_of_a_non_euclidean_sextuple_is_refused(entry, text):
+    s = SpinSextuple.parse(text.split())
+    with pytest.raises(NonEuclideanError) as built:
+        tet_from_spins(s)
+    for geo in (None, forged(s)):
+        with pytest.raises(NonEuclideanError) as refused:
+            entry(s, 1, geo)
+        assert str(refused.value) == str(built.value)
+
+
+def test_the_gate_is_the_only_refusal():
+    # every admissible sextuple with spins <= 3, its geometry passed (forged when there is
+    # none): past the gate no formula raises, and every amplitude is finite and positive
+    count = 0
+    for d in itertools.product(range(7), repeat=6):
+        try:
+            _check(*_sums(d), "osp12")
+        except AdmissibilityError:
+            continue
+        count += 1
+        s = SpinSextuple(*map(HalfInt, d))
+        try:
+            geo, euclidean = tet_from_spins(s), True
+        except NonEuclideanError:
+            geo, euclidean = forged(s), False
+        for k in (1, 2, 3):
+            try:
+                res = asym_for_scaled(s, k, geo)
+            except NonEuclideanError:
+                assert not euclidean, d
+                continue
+            assert 0.0 < res.amplitude < math.inf and math.isfinite(res.angle), (d, k)
+    assert count == 17245
 
 
 def test_parity_mismatch_comes_before_the_geo_check():

@@ -183,12 +183,18 @@ class TestSlopeCommand:
             row[3] = str(i * 10**200 if i % 2 else 0)
 
     @staticmethod
+    def _duplicate_column(rows):
+        for row in rows:  # k,k,parity,...: the second k was read silently
+            row.insert(0, row[0])
+
+    @staticmethod
     def _one_float_log_k(rows):
         for i, row in enumerate(rows[1:]):
             row[0] = str(10**20 + i)
 
     @pytest.mark.parametrize("mutate", [
         "_short_row", "_long_row", "_repeated_k", "_oversized_cell", "_huge_exp2", "_one_float_log_k",
+        "_duplicate_column",
     ])
     def test_malformed_csv_is_usage_error(self, tmp_path, capsys, mutate):
         path = tmp_path / "scan.csv"
@@ -255,6 +261,20 @@ class TestInputBoundary:
         )
         assert code == 3
         assert "k=1: su2 requires integer triangle sums" in err
+
+    @pytest.mark.parametrize("spins, k_to, message", [
+        # non-Euclidean: the geometry error of the whole scan came first
+        (("1", "1", "3/2", "1", "1", "3/2"), "3", "('21/2', '21/2', '21/2', '21/2')"),
+        # 100000 k over the summed cost bound: the cost error came first
+        (HALVES, "100001", "('9/2', '9/2', '9/2', '9/2')"),
+    ], ids=["non-euclidean", "over-the-cost-bound"])
+    def test_scan_refuses_a_later_k_as_asym_does(self, capsys, spins, k_to, message):
+        code, out, err = run(capsys, "asym", "--kind", "su2", "--k", "3", *spins)
+        assert (code, out) == (3, "")
+        code, out, scan_err = run(capsys, "scan", "--kind", "su2", "--k-from", "2", "--k-to", k_to, *spins)
+        expected = f"error: k=3: su2 requires integer triangle sums, got v={message}\n"
+        assert (code, out, scan_err) == (3, "", expected)
+        assert scan_err == err.replace("error: ", "error: k=3: ")
 
     def test_asym_su2_bad_face_is_inadmissible(self, capsys):
         code, out, _ = run(capsys, "asym", "--kind", "su2", "--k", "2", *self.BAD_FACE)

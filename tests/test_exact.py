@@ -123,6 +123,13 @@ class TestExactSymbol:
         # the float 0.1 times the square part 3, not the double 0.30000000000000004
         assert parts(ExactSymbol(0.1, Fraction(9))) == (3 * Fraction(0.1), Fraction(1))
 
+    def test_radicand_is_taken_as_a_fraction(self):
+        # as coeff is: a float radicand was an AttributeError on .numerator
+        assert ExactSymbol(1, 2.0) == ExactSymbol(1, 2)
+        assert parts(ExactSymbol(1, 2.0)) == (Fraction(1), Fraction(2))
+        with pytest.raises(ValueError, match="^Invalid literal for Fraction: 'x'$"):
+            ExactSymbol(1, "x")
+
     def test_prime_exponent_route_matches_radicand_route(self):
         rng = random.Random(13)
         for _ in range(200):
@@ -269,6 +276,7 @@ class TestScaledFloat:
     def test_zero(self):
         z = ScaledFloat.zero()
         assert z.to_float() == 0.0
+        assert float(ScaledFloat(1.5, 3)) == 12.0
         assert exact_to_scaled(ExactSymbol.zero()) == z
 
     def test_mantissa_range_enforced(self):

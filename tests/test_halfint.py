@@ -54,6 +54,7 @@ def test_conversions():
     with pytest.raises(ValueError):
         int(h)
     assert int(HalfInt(4)) == 2
+    assert not HalfInt(0) and HalfInt(1)
     assert parse_halfint("9/2") == HalfInt(9)
 
 

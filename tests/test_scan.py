@@ -1,6 +1,7 @@
 import importlib
 import io
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from sixj import (
     ExactSymbol,
     InsufficientExtremaError,
+    IntegralityViolation,
     ScaledFloat,
     ScanRecord,
     SpinSextuple,
@@ -20,7 +22,7 @@ from sixj import (
     write_json,
 )
 from sixj.exact import exact_to_scaled
-from sixj.scan import MAX_SCAN_POINTS, k_range, local_maxima
+from sixj.scan import CSV_COLUMNS, MAX_SCAN_POINTS, k_range, local_maxima
 from sixj.symbols import _brackets, _check_cost
 from sixj.triangles import _sums
 
@@ -91,17 +93,33 @@ class TestScan:
             scan(ALL_ONES, "bogus", [1])
 
     @pytest.mark.parametrize("kind", ["su2", "super"])
-    @pytest.mark.parametrize("ks", [[1.0], [1.0, 2.0], [1, 3.0]])
+    @pytest.mark.parametrize("ks", [[1.0], [1.0, 2.0], [1, 3.0], [0.5], [1, -1.0], ["3"], [None]])
     def test_k_must_be_an_int(self, kind, ks):
         # before any sums: a float at a later k too, not a crash deep in the kernel
-        with pytest.raises(TypeError, match="^scale factor must be an int, got float$"):
+        name = type(ks[-1]).__name__
+        with pytest.raises(TypeError, match=f"^scale factor must be an int, got {name}$"):
             scan(ALL_ONES, kind, ks)
 
     def test_errors_carry_offending_k(self):
-        from sixj import IntegralityViolation
-
         with pytest.raises(IntegralityViolation, match="k=7"):
             scan(ALL_HALVES, "su2", [7])
+
+    def test_admissibility_of_a_later_k_before_the_geometry(self):
+        # non-Euclidean, and k = 3 has half-integer triangle sums: asym's error at that k
+        with pytest.raises(IntegralityViolation, match=r"^k=3: su2 requires integer triangle sums, "):
+            scan(SpinSextuple.parse("1 1 3/2 1 1 3/2".split()), "su2", [2, 3])
+
+    def test_nothing_is_evaluated_before_every_k_is_checked(self, monkeypatch):
+        calls = []
+
+        def counted(evaluate):
+            return lambda s: calls.append(s) or evaluate(s)
+
+        monkeypatch.setattr(SCAN_MODULE, "sixj_exact", counted(sixj_exact))
+        with pytest.raises(IntegralityViolation, match="^k=3: "):
+            scan(ALL_HALVES, "su2", [2, 3])  # k = 2 passes every check
+        assert calls == []
+        assert len(scan(ALL_HALVES, "su2", [2, 4])) == len(calls) == 2  # the patch counts
 
     def test_k_range(self):
         assert k_range(1, 9, 2) == [1, 3, 5, 7, 9]
@@ -249,6 +267,13 @@ class TestSerialisation:
     def test_missing_column_rejected(self):
         with pytest.raises(ValueError):
             read_csv(io.StringIO("k,parity\n1,su2\n"))
+
+    @pytest.mark.parametrize("extra, named", [("k", "['k']"), ("k,angle,note,note", "['angle', 'k', 'note']")])
+    def test_duplicate_column_rejected(self, extra, named):
+        # a second k was read silently: dict(zip(header, cells)) keeps the last
+        header = ",".join([*CSV_COLUMNS, extra])
+        with pytest.raises(ValueError, match=f"^{re.escape(f'scan CSV line 1: duplicate columns {named}')}$"):
+            read_csv(io.StringIO(header + "\n"))
 
     def test_parity_at_k_matches_classification(self):
         from sixj.triangles import rescale

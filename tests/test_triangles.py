@@ -109,6 +109,7 @@ class TestClassifyParity:
     )
     def test_examples(self, spins, parity):
         assert classify_parity(triangle_sums(SpinSextuple.of(*spins))) is parity
+        assert str(parity) == parity.value
 
 
 class TestBetaDecompose:
@@ -218,6 +219,9 @@ class TestSextupleEdge:
     def test_wrong_count(self):
         with pytest.raises(ValueError, match=r"^a sextuple needs exactly six spins$"):
             SpinSextuple.of(1, 1, 1, 1, 1)
+        for texts in (["1"] * 5, ["1"] * 7):
+            with pytest.raises(ValueError, match=r"^a sextuple needs exactly six spins$"):
+                SpinSextuple.parse(texts)
 
     def test_non_half_fraction_spin(self):
         with pytest.raises(ValueError, match=r"^1/3 is not a half-integer$"):
