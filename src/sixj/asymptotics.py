@@ -49,8 +49,9 @@ from .triangles import Parity, SpinSextuple, _beta_split, _check, _jj, _scale_fa
 
 STANDARD = "standard"
 # k * max(2j) < 2**40: the exterior angles sum to under 4 pi, so |angle| < 2**43 is rounded to
-# 2**-10 rad at most and every float product is finite.  The float angles are good to 3.2e-16 rad
-# median (8.3e-15 worst) against 50 digits on 400 random tetrahedra: 1e-3 rad of phase at the bound.
+# 2**-10 rad at most and every float product is finite.  Against 60 digits the float angles are good
+# to 1.8e-14 rad on 400 random tetrahedra (7.5e-4 rad of phase at the bound), and to 1.1e-10 rad on
+# 1200 near-flat ones past the flatness refusal (8.9e-3 rad of phase): see README, "CLI".
 _DOMAIN = 2**40
 
 

@@ -3,13 +3,17 @@
 Subcommands: eval, classify, geometry, asym, scan, slope.  Spins are given
 as six positional half-integer strings ("2", "3/2", "1.5").  Exit codes:
 0 success, 2 usage, 3 admissibility error, 4 non-Euclidean (or flat)
-geometry.
+geometry; a failure prints one ``error:`` line to stderr.  Stdout is written
+once, when the command has succeeded.  Inputs are parsed under the
+interpreter's int-digit limit; exact values print at any length.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import sys
+from contextlib import nullcontext
 
 from .asymptotics import asym_for_scaled, asym_standard
 from .errors import AdmissibilityError, InsufficientExtremaError, NonEuclideanError
@@ -23,6 +27,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_ADMISSIBILITY = 3
 EXIT_GEOMETRY = 4
+
+# the int-to-text digit limit (0: none); interpreters before 3.10.7 have none
+_get_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digits = getattr(sys, "set_int_max_str_digits", lambda limit: None)
 
 
 def _add_spin_args(p: argparse.ArgumentParser) -> None:
@@ -84,76 +92,59 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
+    out, limit = io.StringIO(), _get_digits()
     try:
-        return _dispatch(args)
-    except AdmissibilityError as exc:
+        _dispatch(args, out)
+        sys.stdout.write(out.getvalue())
+    except (ValueError, NonEuclideanError, InsufficientExtremaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ADMISSIBILITY
-    except NonEuclideanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY
-    except (ValueError, InsufficientExtremaError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(exc, AdmissibilityError):
+            return EXIT_ADMISSIBILITY
+        return EXIT_GEOMETRY if isinstance(exc, NonEuclideanError) else EXIT_USAGE
+    finally:
+        _set_digits(limit)
+    return EXIT_OK
 
 
-def _dispatch(args) -> int:
+def _dispatch(args, out: io.StringIO) -> None:
+    """Run the command, printing its output into out."""
+    if args.command == "slope":
+        with nullcontext(sys.stdin) if args.csv_file == "-" else open(args.csv_file, encoding="utf-8") as fh:
+            records = read_csv(fh)
+        fit = envelope_slope(records)
+        print(f"slope      {fit.slope!r}", file=out)
+        print(f"intercept  {fit.intercept!r}", file=out)
+        print(f"r_squared  {fit.r_squared!r}", file=out)
+        print(f"n_points   {fit.n_points}", file=out)
+        return
+
+    s = SpinSextuple.parse(args.spins)  # under the caller's digit limit, as argparse's ints are
+    _set_digits(0)
     if args.command == "eval":
-        s = SpinSextuple.parse(args.spins)
         value = sixj_exact(s) if args.kind == "su2" else sixj_super_exact(s)
-        print(f"coeff     {value.coeff}")
-        print(f"radicand  {value.radicand}")
-        print(f"value     {float(value)!r}")
-        return EXIT_OK
-
-    if args.command == "classify":
-        v, p = _sums(SpinSextuple.parse(args.spins).doubled())
-        print(f"parity    {_check(v, p, 'osp12').value}")
-        print("v         " + " ".join(map(_half_text, v)))
-        print("p         " + " ".join(map(_half_text, p)))
-        return EXIT_OK
-
-    if args.command == "geometry":
-        s = SpinSextuple.parse(args.spins)
+        print(f"coeff     {value.coeff}", file=out)
+        print(f"radicand  {value.radicand}", file=out)
+        print(f"value     {float(value)!r}", file=out)
+    elif args.command == "classify":
+        v, p = _sums(s.doubled())
+        print(f"parity    {_check(v, p, 'osp12').value}", file=out)
+        print("v         " + " ".join(map(_half_text, v)), file=out)
+        print("p         " + " ".join(map(_half_text, p)), file=out)
+    elif args.command == "geometry":
         geo = tet_from_spins(s)
-        print(f"volume    {geo.volume!r}")
-        print("theta_ext " + " ".join(repr(t) for t in geo.theta_ext))
-        return EXIT_OK
-
-    if args.command == "asym":
-        s = SpinSextuple.parse(args.spins)
+        print(f"volume    {geo.volume!r}", file=out)
+        print("theta_ext " + " ".join(repr(t) for t in geo.theta_ext), file=out)
+    elif args.command == "asym":
         res = asym_standard(s, args.k) if args.kind == "su2" else asym_for_scaled(s, args.k)
-        print(f"parity    {res.parity_used}")
-        print(f"amplitude {res.amplitude!r}")
-        print(f"angle     {res.angle!r}")
-        print(f"value     {res.value!r}")
-        return EXIT_OK
-
-    if args.command == "scan":
-        s = SpinSextuple.parse(args.spins)
+        print(f"parity    {res.parity_used}", file=out)
+        print(f"amplitude {res.amplitude!r}", file=out)
+        print(f"angle     {res.angle!r}", file=out)
+        print(f"value     {res.value!r}", file=out)
+    else:
         records = scan(s, args.kind, _scan_ks(args))
         writer = write_csv if args.format == "csv" else write_json
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                writer(records, fh)
-        else:
-            writer(records, sys.stdout)
-        return EXIT_OK
-
-    if args.command == "slope":
-        if args.csv_file == "-":
-            records = read_csv(sys.stdin)
-        else:
-            with open(args.csv_file, encoding="utf-8") as fh:
-                records = read_csv(fh)
-        fit = envelope_slope(records)
-        print(f"slope      {fit.slope!r}")
-        print(f"intercept  {fit.intercept!r}")
-        print(f"r_squared  {fit.r_squared!r}")
-        print(f"n_points   {fit.n_points}")
-        return EXIT_OK
-
-    raise ValueError(f"unknown command {args.command!r}")  # pragma: no cover
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(out) as fh:
+            writer(records, fh)
 
 
 def main() -> None:

@@ -4,15 +4,19 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sixj.cli import cli_main
+
+# the interpreter's int-to-text digit limit; none before 3.10.7
+digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def run(capsys, *argv):
@@ -411,6 +415,64 @@ class TestInputBoundary:
         assert asym_code == eval_code == expected
 
 
+class TestDigitLimit:
+    """Exact values print past the interpreter's 4300-digit limit on int-to-text
+    conversion; the inputs are parsed under it, and the caller's limit holds after."""
+
+    NINES = "9" * 4300
+
+    def test_eval_prints_a_coefficient_of_any_length(self):
+        code, out = run_documented(["eval", *("8001",) * 6])
+        coeff, radicand, value = out.splitlines()
+        assert code == 0 and coeff.startswith("coeff     1667984083273575868890139658866771627580")
+        assert len(coeff) == len("coeff     ") + 12633
+        assert (radicand, value) == ("radicand  1", "value     6.549832126885787e-07")
+
+    def test_classify_prints_sums_of_any_length(self):
+        code, out = run_documented(["classify", *(self.NINES,) * 6])
+        # 3 j = 2 9...9 7 and 4 j = 3 9...9 6, for j the 4300 nines
+        v, p = "2" + "9" * 4299 + "7", "3" + "9" * 4299 + "6"
+        assert code == 0
+        assert out.splitlines() == ["parity    alpha", "v         " + " ".join([v] * 4), "p         " + " ".join([p] * 3)]
+
+    def test_an_inadmissible_sextuple_of_any_length_is_exit_3(self, capsys):
+        limit = digit_limit()
+        code, out, err = run(capsys, "eval", "1", self.NINES, "1", "1", "1", "1")
+        assert (code, out, digit_limit()) == (3, "", limit)
+        assert err.startswith("error: triangular inequality fails: p=4 < v=1" + "0" * 4299)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "9" * 4301, *("1",) * 5], "error: Exceeds the limit (4300 digits)"),
+        (["asym", "--k", "9" * 4301, *("1",) * 6], "sixj asym: error: argument --k: invalid int value"),
+    ], ids=["spin", "k"])
+    def test_inputs_are_parsed_under_the_limit(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and message in err
+
+    @pytest.mark.parametrize("limit", [0, 640, 5000])
+    def test_the_callers_limit_is_restored(self, capsys, limit):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no int-digit limit")
+        previous = digit_limit()
+        sys.set_int_max_str_digits(limit)
+        try:
+            assert run(capsys, "eval", *("20",) * 6)[0] == 0
+            assert digit_limit() == limit
+            assert run(capsys, "eval", "1", "2", *("20",) * 4)[0] == 3
+            assert digit_limit() == limit
+        finally:
+            sys.set_int_max_str_digits(previous)
+
+    def test_a_failed_stdout_write_is_one_error_line(self, capsys):
+        class BrokenPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        with contextlib.redirect_stdout(BrokenPipe()):
+            code = cli_main(["eval", *("1",) * 6])
+        assert (code, capsys.readouterr().err) == (2, "error: [Errno 32] Broken pipe\n")
+
+
 def half_text(d: int) -> str:
     """The spin d/2 as "n" or "m/2"."""
     return str(d // 2) if d % 2 == 0 else f"{d}/2"
@@ -439,6 +501,24 @@ K_TOKEN = st.one_of(
 )
 
 
+def run_documented(argv) -> tuple[int, str]:
+    """Run argv and check the documented contract: an exit code in {0, 2, 3, 4},
+    no traceback, stdout only on success and an error otherwise, and the caller's
+    int-digit limit unchanged; (code, stdout)."""
+    limit = digit_limit()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    assert digit_limit() == limit, argv
+    assert code in (0, 2, 3, 4), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert not err.getvalue()
+    else:
+        assert not out.getvalue() and err.getvalue(), (argv, err.getvalue())
+    return code, out.getvalue()
+
+
 class TestFuzzGeometryPath:
     """Every argv for geometry and asym ends in a documented exit code, never a traceback."""
 
@@ -460,19 +540,12 @@ class TestFuzzGeometryPath:
     def test_exit_code_documented(self, command, spins, separator):
         # "--" hands tokens such as "-1/2" or "--k" to the spin parser
         argv = [*command, *(["--"] if separator else []), *spins]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli_main(argv)
-        assert code in (0, 2, 3, 4), (argv, code)
-        assert "Traceback" not in err.getvalue()
+        code, out = run_documented(argv)
+        assert code != 0 or out, argv
         if code == 0 and command[0] == "asym":
             # an answer keeps its phase: inside the domain k * max(2j) < 2**40, |angle| < 2**44
-            fields = dict(line.split(maxsplit=1) for line in out.getvalue().splitlines())
+            fields = dict(line.split(maxsplit=1) for line in out.splitlines())
             assert float(fields["amplitude"]) > 0.0 and abs(float(fields["angle"])) < 2**44, argv
-        if code == 0:
-            assert out.getvalue() and not err.getvalue()
-        else:
-            assert err.getvalue()
 
 
 # half-integer spins 0 ... 10**30 as "n", "m/2" or "n.5", negatives and junk
@@ -494,17 +567,12 @@ class TestFuzzClassify:
         ),
         separator=st.booleans(),
     )
+    @example(spins=["9" * 4300] * 6, separator=False)  # at the interpreter's int-digit limit
     def test_exit_code_documented(self, spins, separator):
         argv = ["classify", *(["--"] if separator else []), *spins]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli_main(argv)
+        code, out = run_documented(argv)
         assert code in (0, 2, 3), (argv, code)
-        assert "Traceback" not in err.getvalue()
-        if code == 0:
-            assert out.getvalue().startswith("parity    ") and not err.getvalue()
-        else:
-            assert err.getvalue()
+        assert code != 0 or out.startswith("parity    "), argv
 
 
 # spins for eval and scan: admissible small ones (weighted up), six equal, large and junk
@@ -542,21 +610,6 @@ def scan_k_options(draw):
     else:
         flags = draw(st.lists(st.sampled_from(sorted(values)), unique=True))
     return [token for flag in flags for token in (flag, values[flag])]
-
-
-def run_documented(argv) -> tuple[int, str]:
-    """Run argv and check the documented contract: an exit code in {0, 2, 3, 4},
-    no traceback, stdout only on success and an error otherwise; (code, stdout)."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main(argv)
-    assert code in (0, 2, 3, 4), (argv, code)
-    assert "Traceback" not in err.getvalue()
-    if code == 0:
-        assert not err.getvalue()
-    else:
-        assert not out.getvalue() and err.getvalue(), (argv, err.getvalue())
-    return code, out.getvalue()
 
 
 class TestFuzzExact:
@@ -638,13 +691,7 @@ class TestFuzzSlope:
     @settings(max_examples=200, deadline=None)
     @given(text=scan_csv_text())
     def test_exit_code_documented(self, text):
-        out, err = io.StringIO(), io.StringIO()
-        with mock.patch("sys.stdin", io.StringIO(text)), \
-                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli_main(["slope", "-"])
+        with mock.patch("sys.stdin", io.StringIO(text)):
+            code, out = run_documented(["slope", "-"])
         assert code in (0, 2), (text[:300], code)
-        assert "Traceback" not in err.getvalue()
-        if code == 0:
-            assert out.getvalue().startswith("slope      ") and not err.getvalue()
-        else:
-            assert err.getvalue()
+        assert code != 0 or out.startswith("slope      "), text[:300]

@@ -253,34 +253,93 @@ class TestDihedralAccuracy:
                 geo = tet_from_spins(sextuple(d))
             except NonEuclideanError:
                 continue
-            # vertices A, B, C, D with AB = j3, AC = j2, AD = J1, BC = j1, BD = J2, CD = J3
-            j1, j2, j3, J1, J2, J3 = (mpmath.mpf(x) / 2 for x in d)
-            to_a = (j3, j2, J1)  # |B - A|, |C - A|, |D - A|
-            across = {(0, 1): j1, (0, 2): J2, (1, 2): J3}
-            gram = mpmath.matrix(3, 3)
-            for i in range(3):
-                for k in range(3):
-                    cross = 0 if i == k else across[min(i, k), max(i, k)]
-                    gram[i, k] = (to_a[i] ** 2 + to_a[k] ** 2 - cross**2) / 2
-            rows = mpmath.cholesky(gram)
-            a = mpmath.matrix([0, 0, 0])
-            b, c, dd = (mpmath.matrix([rows[i, 0], rows[i, 1], rows[i, 2]]) for i in range(3))
-
-            def interior(p, q, r, t):
-                u = q - p
-                n1, n2 = _cross3(mpmath, u, r - p), _cross3(mpmath, u, t - p)
-                return mpmath.acos(_dot3(n1, n2) / mpmath.sqrt(_dot3(n1, n1) * _dot3(n2, n2)))
-
-            exact = (
-                interior(b, c, a, dd), interior(c, a, b, dd), interior(a, b, c, dd),
-                interior(a, dd, b, c), interior(b, dd, a, c), interior(c, dd, a, b),
-            )
+            gram, exact = _gram_interior_angles(mpmath, d)
             for theta, th_int in zip(geo.theta_ext, exact):
                 worst_angle = max(worst_angle, float(abs(theta - (mpmath.pi - th_int))))
             volume = mpmath.sqrt(mpmath.det(gram)) / 6
             worst_volume = max(worst_volume, float(abs(geo.volume - volume) / volume))
             count += 1
         return worst_angle, worst_volume
+
+
+def _gram_interior_angles(mpmath, d):
+    """The Gram matrix of the tetrahedron with doubled spins d and its six interior
+    dihedral angles, from its Cholesky embedding at mpmath's working precision."""
+    # vertices A, B, C, D with AB = j3, AC = j2, AD = J1, BC = j1, BD = J2, CD = J3
+    j1, j2, j3, J1, J2, J3 = (mpmath.mpf(x) / 2 for x in d)
+    to_a = (j3, j2, J1)  # |B - A|, |C - A|, |D - A|
+    across = {(0, 1): j1, (0, 2): J2, (1, 2): J3}
+    gram = mpmath.matrix(3, 3)
+    for i in range(3):
+        for k in range(3):
+            cross = 0 if i == k else across[min(i, k), max(i, k)]
+            gram[i, k] = (to_a[i] ** 2 + to_a[k] ** 2 - cross**2) / 2
+    rows = mpmath.cholesky(gram)
+    a = mpmath.matrix([0, 0, 0])
+    b, c, dd = (mpmath.matrix([rows[i, 0], rows[i, 1], rows[i, 2]]) for i in range(3))
+
+    def interior(p, q, r, t):
+        u = q - p
+        n1, n2 = _cross3(mpmath, u, r - p), _cross3(mpmath, u, t - p)
+        return mpmath.acos(_dot3(n1, n2) / mpmath.sqrt(_dot3(n1, n1) * _dot3(n2, n2)))
+
+    return gram, (
+        interior(b, c, a, dd), interior(c, a, b, dd), interior(a, b, c, dd),
+        interior(a, dd, b, c), interior(b, dd, a, c), interior(c, dd, a, b),
+    )
+
+
+def near_flat(rng: random.Random, top: int) -> list[int]:
+    """Doubled spins: five drawn from 1..top, and a sixth as near to a flat embedding
+    as tet_from_spins accepts."""
+    while True:
+        five = [rng.randint(1, top) for _ in range(5)]
+        # 64 CM is a quadratic a y^2 + b y + c in y = x^2, x the sixth doubled spin; it is
+        # positive between the roots, so step inward from each root to the first accepted x
+        c, c1, c4 = (64 * cayley_menger_det(halves(five + [x])) for x in (0, 1, 2))
+        a = (c4 - 4 * c1 + 3 * c) / 12
+        b = c1 - c - a
+        disc = b * b - 4 * a * c
+        if a >= 0 or disc < 0:
+            continue
+        found = []
+        for y, step in (((-b + math.sqrt(disc)) / (2 * a), 1), ((-b - math.sqrt(disc)) / (2 * a), -1)):
+            start = math.floor(math.sqrt(max(y, 0))) - 2 * step
+            for x in range(start, start + 60 * step, step):
+                try:
+                    if 1 <= x <= top and tet_from_spins(sextuple(five + [x])):
+                        found.append((a * x**4 + b * x**2 + c, x))
+                        break
+                except NonEuclideanError:
+                    continue
+        if found:
+            return five + [min(found)[1]]
+
+
+class TestNearFlatAccuracy:
+    """Near-flat tetrahedra that pass the flatness refusal: the float exterior angles
+    against 60-digit Gram-matrix angles, per angle and as the phase k sum j theta at the
+    asymptotics' domain bound k max(2j) < 2**40."""
+
+    def test_angles_and_phase_at_the_domain_bound(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(21)
+        worst_angle = worst_phase = worst_flatness = 0.0
+        with mpmath.workdps(60):
+            for _ in range(300):
+                d = near_flat(rng, 4 * 10**5)
+                theta = tet_from_spins(sextuple(d)).theta_ext
+                exact = [mpmath.pi - x for x in _gram_interior_angles(mpmath, d)[1]]
+                errors = [mpmath.mpf(t) - e for t, e in zip(theta, exact)]
+                k = (2**40 - 1) // max(d)
+                worst_angle = max(worst_angle, *(float(abs(e)) for e in errors))
+                worst_phase = max(worst_phase, float(abs(k * sum(x * e for x, e in zip(d, errors)) / 2)))
+                worst_flatness = max(worst_flatness, float(64 * cayley_menger_det(halves(d)) / max(d) ** 6))
+        print(f"near-flat: worst angle error {worst_angle:.3g} rad, worst phase error {worst_phase:.3g} rad")
+        assert worst_flatness < 1e-4  # every one is near flat: 64 CM / max(2j)^6 past 1e-12 but small
+        # measured on this sample: 2.8e-11 rad and 2.0e-3 rad
+        assert worst_angle <= 1e-10
+        assert worst_phase <= 1e-2
 
 
 def _dot3(u, v):
