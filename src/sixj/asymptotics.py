@@ -133,13 +133,12 @@ def _route(s: SpinSextuple, k: int, geo: TetGeometry | None, want: Parity | None
     """The one supersymmetric formula at the parity of k*s; KParityError unless it is want."""
     d, v, p, parity, geo = _scaled(s, k, "osp12", geo, want)
     split = _beta_split(d, v, p) if parity is Parity.BETA else None
-    factors = _beta_factors(v, p, split) if split else None
     n, psi = _shift(parity, d, v, split, 24.0 * geo.volume)
     root = math.sqrt(48.0 * math.pi * k * geo.volume)
-    if factors is None:
+    if split is None:
         amplitude = n / (root * math.sqrt(math.prod(v) / 16))
     else:
-        front, ratio, area = factors
+        front, ratio, area = _beta_factors(v, p, split)
         amplitude = n * math.sqrt(front) * ratio ** 0.25 / (root * area ** 0.25)
     slot = split[-1] if split else None
     angle = 0.25 * math.pi + _phase(geo.lengths, k, geo.theta_ext, parity is Parity.GAMMA, slot) - psi

@@ -15,12 +15,10 @@ import io
 import sys
 from contextlib import nullcontext
 
-from .asymptotics import asym_for_scaled, asym_standard
 from .errors import AdmissibilityError, InsufficientExtremaError, NonEuclideanError
 from .geometry import tet_from_spins
 from .halfint import _half_text
-from .scan import envelope_slope, k_range, read_csv, scan, write_csv, write_json
-from .symbols import sixj_exact, sixj_super_exact
+from .scan import KINDS, _kind, envelope_slope, k_range, read_csv, scan, write_csv, write_json
 from .triangles import SpinSextuple, _check, _sums
 
 EXIT_OK = 0
@@ -45,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="exact symbol value")
-    p_eval.add_argument("--kind", choices=("su2", "super"), default="su2")
+    p_eval.add_argument("--kind", choices=KINDS, default="su2")
     _add_spin_args(p_eval)
 
     p_classify = sub.add_parser("classify", help="parity and triangle data")
@@ -55,12 +53,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_spin_args(p_geo)
 
     p_asym = sub.add_parser("asym", help="asymptotic value at a given k")
-    p_asym.add_argument("--kind", choices=("su2", "super"), default="su2")
+    p_asym.add_argument("--kind", choices=KINDS, default="su2")
     p_asym.add_argument("--k", type=int, required=True)
     _add_spin_args(p_asym)
 
     p_scan = sub.add_parser("scan", help="exact-vs-asymptotic k scan (CSV or JSON)")
-    p_scan.add_argument("--kind", choices=("su2", "super"), default="su2")
+    p_scan.add_argument("--kind", choices=KINDS, default="su2")
     p_scan.add_argument("--k", type=int, help="single k (alternative to --k-from/--k-to)")
     p_scan.add_argument("--k-from", type=int)
     p_scan.add_argument("--k-to", type=int)
@@ -121,7 +119,7 @@ def _dispatch(args, out: io.StringIO) -> None:
     s = SpinSextuple.parse(args.spins)  # under the caller's digit limit, as argparse's ints are
     _set_digits(0)
     if args.command == "eval":
-        value = sixj_exact(s) if args.kind == "su2" else sixj_super_exact(s)
+        value = _kind(args.kind)[0](s)
         print(f"coeff     {value.coeff}", file=out)
         print(f"radicand  {value.radicand}", file=out)
         print(f"value     {float(value)!r}", file=out)
@@ -135,7 +133,7 @@ def _dispatch(args, out: io.StringIO) -> None:
         print(f"volume    {geo.volume!r}", file=out)
         print("theta_ext " + " ".join(repr(t) for t in geo.theta_ext), file=out)
     elif args.command == "asym":
-        res = asym_standard(s, args.k) if args.kind == "su2" else asym_for_scaled(s, args.k)
+        res = _kind(args.kind)[1](s, args.k)
         print(f"parity    {res.parity_used}", file=out)
         print(f"amplitude {res.amplitude!r}", file=out)
         print(f"angle     {res.angle!r}", file=out)

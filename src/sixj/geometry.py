@@ -121,6 +121,11 @@ def _embed(lengths) -> tuple[tuple[float, float, float], ...]:
     return a, b, c, d
 
 
+# _dihedral's (p, q, r, t) per edge, as slots of the corners A, B, C, D:
+# j1 = BC, j2 = CA, j3 = AB, J1 = AD, J2 = BD, J3 = CD
+_EDGES = ((1, 2, 0, 3), (2, 0, 1, 3), (0, 1, 2, 3), (0, 3, 1, 2), (1, 3, 0, 2), (2, 3, 0, 1))
+
+
 def _dihedral(p, q, r, t) -> float:
     """Interior dihedral angle along edge pq between faces pqr and pqt."""
     u = _sub(q, p)
@@ -152,16 +157,8 @@ def tet_from_spins(s: SpinSextuple) -> TetGeometry:
             )
     volume = math.sqrt(_ratio_to_float(cm64, 18432, _TOO_LARGE))  # CM / 288 = 64 CM / (64 * 288)
     lengths = tuple(x / 2.0 for x in twice)
-    a, b, c, d = _embed(lengths)
-    theta_int = (
-        _dihedral(b, c, a, d),  # edge j1 = BC
-        _dihedral(c, a, b, d),  # edge j2 = CA
-        _dihedral(a, b, c, d),  # edge j3 = AB
-        _dihedral(a, d, b, c),  # edge J1 = AD
-        _dihedral(b, d, a, c),  # edge J2 = BD
-        _dihedral(c, d, a, b),  # edge J3 = CD
-    )
-    theta_ext = tuple(math.pi - th for th in theta_int)
+    corners = _embed(lengths)
+    theta_ext = tuple(math.pi - _dihedral(*(corners[i] for i in edge)) for edge in _EDGES)
     return TetGeometry(lengths, volume, theta_ext, Fraction(cm64, 64))
 
 

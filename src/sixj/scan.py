@@ -31,6 +31,8 @@ CSV_COLUMNS = (
     "amplitude",
     "angle",
 )
+# per symbol kind: its exact evaluator and asymptotic entry, named so that a rebinding counts, and algebra
+KINDS = {"su2": ("sixj_exact", "asym_standard", "su2"), "super": ("sixj_super_exact", "asym_for_scaled", "osp12")}
 MAX_SCAN_POINTS = 10**5  # a row takes 0.4 ms or more, so this many take 40 s or more
 
 
@@ -69,8 +71,7 @@ def scan(s: SpinSextuple, kind: str, k_list: list[int]) -> list[ScanRecord]:
     evaluates the supersymmetric symbol and routes each k to the formula
     matching the parity of the rescaled sextuple (even k always alpha).
     """
-    if kind not in ("su2", "super"):
-        raise ValueError(f"kind must be 'su2' or 'super', got {kind!r}")
+    exact_of, asym_of, algebra = _kind(kind)
     ks = list(map(_scale_factor, k_list))
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("scan k values must be strictly ascending")
@@ -80,7 +81,7 @@ def scan(s: SpinSextuple, kind: str, k_list: list[int]) -> list[ScanRecord]:
     # refused before any evaluation, in eval's order: admissibility at every k, cost, geometry
     for k in ks:
         try:
-            _check_scaled(v, p, k, "su2" if kind == "su2" else "osp12")
+            _check_scaled(v, p, k, algebra)
         except AdmissibilityError as exc:
             raise type(exc)(f"k={k}: {exc}") from exc
     spent = 0  # the kernel's cost, summed over every k
@@ -88,7 +89,6 @@ def scan(s: SpinSextuple, kind: str, k_list: list[int]) -> list[ScanRecord]:
         w, m = _brackets(v, p, k)
         spent = _check_cost(w, m, max(w), min(m), spent)
     geo = tet_from_spins(s)
-    exact_of, asym_of = (sixj_exact, asym_standard) if kind == "su2" else (sixj_super_exact, asym_for_scaled)
     records = []
     for k in ks:
         exact = exact_of(s.scaled(k)).to_scaled()
@@ -96,6 +96,14 @@ def scan(s: SpinSextuple, kind: str, k_list: list[int]) -> list[ScanRecord]:
         records.append(ScanRecord(k, "su2" if kind == "su2" else res.parity_used, exact, res.value,
                                   abs(exact.to_float() - res.value), res.amplitude, res.angle))
     return records
+
+
+def _kind(kind: str) -> tuple:
+    """(exact evaluator, asymptotic entry, algebra) of a kind, the two as bound here at the call."""
+    if kind not in tuple(KINDS):  # by equality, so an unhashable kind gets this message too
+        raise ValueError(f"kind must be 'su2' or 'super', got {kind!r}")
+    exact, asym, algebra = KINDS[kind]
+    return globals()[exact], globals()[asym], algebra
 
 
 def k_range(k_from: int, k_to: int, k_step: int = 1) -> list[int]:
@@ -109,12 +117,8 @@ def k_range(k_from: int, k_to: int, k_step: int = 1) -> list[int]:
 
 def local_maxima(records: list[ScanRecord]) -> list[ScanRecord]:
     """Records whose |exact| strictly exceeds both neighbours on the grid."""
-    out = []
-    for prev, here, nxt in zip(records, records[1:], records[2:]):
-        a, b, c = prev.exact.abs_log2(), here.exact.abs_log2(), nxt.exact.abs_log2()
-        if b > a and b > c:
-            out.append(here)
-    return out
+    logs = [r.exact.abs_log2() for r in records]
+    return [r for r, a, b, c in zip(records[1:], logs, logs[1:], logs[2:]) if b > a and b > c]
 
 
 def envelope_slope(records: list[ScanRecord]) -> SlopeFit:

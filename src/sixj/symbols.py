@@ -119,8 +119,6 @@ def sixj_exact(s: SpinSextuple) -> ExactSymbol:
     _check(v, p, "su2")
     w, m = _brackets(v, p)
     num = _alternating_sum(w, m, 1, 1)
-    if num == 0:
-        return ExactSymbol.zero()
     return _symbol(num, w, m, [mj - wi for mj in m for wi in w], [wi + 1 for wi in w], 1)
 
 
@@ -139,8 +137,4 @@ def sixj_super_exact(s: SpinSextuple) -> ExactSymbol:
     w, m = _brackets(v, p)
     # the sum runs with 4x the monomial, whose coefficients are then integers
     num = _alternating_sum(w, m, *_monomial4(parity, d, beta))
-    if num == 0:
-        return ExactSymbol.zero()
-    if _jj(d) % 2:
-        num = -num
-    return _symbol(num, w, m, *_super_prefactor_args(v, p), 4)
+    return _symbol(-num if _jj(d) % 2 else num, w, m, *_super_prefactor_args(v, p), 4)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import statistics
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from sixj.asymptotics import _polar, asym_alpha, asym_beta, asym_for_scaled, asy
 from sixj.errors import KParityError
 from sixj.geometry import saddle_coeff_a, saddle_coeff_b, saddle_coeff_c
 from sixj.halfint import HalfInt
+from sixj.scan import scan
 from sixj.triangles import _check, _sums, beta_decompose, triangle_sums
 from cores import phase, shift
 from oracles import random_admissible
@@ -463,6 +465,37 @@ class TestPointwiseConvergence:
                 sixj_super_exact(BETA_EUCLIDEAN.scaled(k))
             )
             assert abs(ratio - 1.0) < 0.02
+
+
+ERROR_LAW_STARTS = (21, 61, 141, 301, 621, 1161)
+
+
+class TestErrorLaw:
+    """The relative error e(k) = |exact - asym| / amplitude of every formula falls like 1/k.
+
+    e is maximised over windows of 20 consecutive k of one parity, starting at
+    each of ERROR_LAW_STARTS (+1 for the SU(2) case whose half-perimeter needs even k).
+    Measured: log-log slopes of the window maxima from -0.953 (beta) to -0.993, and
+    k e at most ke_max.  An amplitude 0.1% too large flattens the slopes to -0.26 ...
+    -0.77 and lifts the largest k e 2.5 to 18 times; a phase 1e-3 rad off gives -0.29
+    ... -0.87 and 1.7 to 19 times.  Each band fails both mutants on every case.
+    """
+
+    @pytest.mark.parametrize("kind, s, shift_k, ke_max", [
+        ("su2", ALL_ONES, 0, 0.753),
+        ("su2", BETA_EUCLIDEAN, 1, 0.706),
+        ("super", ALL_ONES, 0, 0.377),
+        ("super", ALL_HALVES, 0, 0.266),
+        ("super", BETA_EUCLIDEAN, 0, 0.066),
+    ], ids=["su2", "su2-even-k", "alpha", "gamma", "beta"])
+    def test_relative_error_falls_like_one_over_k(self, kind, s, shift_k, ke_max):
+        ks = [k + shift_k for start in ERROR_LAW_STARTS for k in range(start, start + 40, 2)]
+        records = scan(s, kind, ks)
+        peaks = [max((r.abs_err / r.amplitude, r.k) for r in records[i:i + 20])
+                 for i in range(0, len(records), 20)]
+        fit = statistics.linear_regression([math.log(k) for _, k in peaks], [math.log(e) for e, _ in peaks])
+        assert -1.1 < fit.slope < -0.9, (fit.slope, peaks)
+        assert max(k * e for e, k in peaks) < 1.15 * ke_max, peaks
 
 
 DOMAIN = 2**40  # k * max(2j) of the floating-point asymptotics

@@ -46,6 +46,12 @@ def test_su2_at_k_8001():
     check("su2", [Fraction(8001)] * 6)
 
 
+@pytest.mark.slow
+def test_su2_at_the_cost_bound():
+    # all ones at k = 64051, the largest k that _check_cost accepts (CALIBRATION in test_symbols.py)
+    check("su2", [Fraction(64051)] * 6)
+
+
 @pytest.mark.parametrize("kind, doubled, k", inputs.LARGE_K, ids=lambda x: str(x).replace(" ", ""))
 def test_large_k_inputs(kind, doubled, k):
     check(kind, [Fraction(k * d, 2) for d in doubled])

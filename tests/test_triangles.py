@@ -90,6 +90,20 @@ class TestAdmissibility:
         with pytest.raises(IntegralityViolation):
             check_admissible(t, "osp12")
 
+    def test_negative_recovered_spin_on_hand_built_data(self):
+        # admissible sums whose recovered 2*j1 = v1 + v4 - p1 = -2 is even but negative
+        t = TriangleData(v=hx(0, 0, 0, 0), p=hx(1, 1, 1))
+        for algebra in ("su2", "osp12"):
+            with pytest.raises(IntegralityViolation, match="^recovered spin j1 is negative$"):
+                check_admissible(t, algebra)
+
+    def test_unknown_algebra_raises_value_error(self):
+        s = SpinSextuple.of(1, 1, 1, 1, 1, 1)
+        with pytest.raises(ValueError, match="^unknown algebra 'so3'$"):
+            is_admissible(s, "so3")  # not one of the violations it turns into False
+        with pytest.raises(ValueError, match="^unknown algebra 'so3'$"):
+            check_admissible(triangle_sums(s), "so3")
+
     def test_parity_trichotomy_on_random_admissible(self):
         rng = random.Random(32)
         for s in random_admissible(rng, n=300):
