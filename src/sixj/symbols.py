@@ -17,10 +17,10 @@ ints; its factorial head enters as exponent vectors, with the prefactor's.
 
 Both evaluators run one pipeline on the doubled spins d = (2j1, ..., 2J3),
 read once from the sextuple: doubled triangle data and admissibility from
-the ``triangles`` core, the sum's range from ``_brackets``, the parity
-monomial scaled by 4 to integers, the frontal sign from sum d_i d_(i+3) and
-the prefactor arguments (p_j - v_i)//2 and (v_i + 1)//2.  No HalfInt or
-Fraction is built before the sum.
+the ``triangles`` core, the sum's range from ``_brackets``, read once, the
+parity monomial scaled by 4 to integers, the frontal sign from sum d_i d_(i+3)
+and the prefactor arguments (p_j - v_i)//2 and (v_i + 1)//2, (v_i + 2)//2 for
+SU(2).  No HalfInt or Fraction is built before the sum.
 """
 
 from __future__ import annotations
@@ -47,16 +47,22 @@ def _monomial4(parity: Parity, d, beta) -> tuple[int, int]:
     return 2 * _jj(d) + 2 * sum(d) + 2, -4
 
 
-def _super_prefactor_args(v, p) -> tuple[list[int], list[int]]:
+def _super_prefactor_args(v, p, lift: int = 1) -> tuple[list[int], list[int]]:
     """The parity prefactor's factorial arguments from doubled sums (v, p), p_j >= v_i:
-    numerators floor(p_j - v_i) over the twelve pairs, denominators floor(v_i + 1/2)."""
-    return [(pj - vi) // 2 for pj in p for vi in v], [(vi + 1) // 2 for vi in v]
+    numerators floor(p_j - v_i) over the twelve pairs, denominators floor(v_i + 1/2).
+    With lift 2, the denominators are v_i + 1: SU(2)'s radicand, whose sums are integers."""
+    (v0, v1, v2, v3), (p0, p1, p2) = v, p
+    return ([(p0 - v0) // 2, (p0 - v1) // 2, (p0 - v2) // 2, (p0 - v3) // 2, (p1 - v0) // 2, (p1 - v1) // 2,
+             (p1 - v2) // 2, (p1 - v3) // 2, (p2 - v0) // 2, (p2 - v1) // 2, (p2 - v2) // 2, (p2 - v3) // 2],
+            [(v0 + lift) // 2, (v1 + lift) // 2, (v2 + lift) // 2, (v3 + lift) // 2])
 
 
 def _brackets(v, p, k: int = 1) -> tuple[list[int], list[int]]:
     """The kernel's w and m, floor(k v_i/2 + 1/2) and floor(k p_j/2 + 1/2), for k
     times the sextuple of doubled sums (v, p); k v_i/2 and k p_j/2 when integers, as in SU(2)."""
-    return [(k * x + 1) // 2 for x in v], [(k * x + 1) // 2 for x in p]
+    (v0, v1, v2, v3), (p0, p1, p2) = v, p
+    return ([(k * v0 + 1) // 2, (k * v1 + 1) // 2, (k * v2 + 1) // 2, (k * v3 + 1) // 2],
+            [(k * p0 + 1) // 2, (k * p1 + 1) // 2, (k * p2 + 1) // 2])
 
 
 # Estimated cost (terms + 1000) n log2 n, n - 1 bounding every factorial
@@ -79,18 +85,20 @@ def _check_cost(w: list[int], m: list[int], lo: int, hi: int, spent: int = 0) ->
     return spent
 
 
-def _alternating_sum(w: list[int], m: list[int], c0: int, c1: int) -> int:
+def _alternating_sum(w: list[int], m: list[int], c0: int, c1: int,
+                     lo: int | None = None, hi: int | None = None) -> int:
     """Signed numerator of sum_t (-1)^t t! (c0 + c1 t) / [prod (t-w_i)! prod (m_j-t)!].
 
     t runs over the integers max(w) = lo <= t <= hi = min(m), with four w
-    and three m; an empty range gives 0.  The sum is nested from the top
-    term down over the term ratio -(t+1) prod (m_j-t) / prod (t+1-w_i), so
-    the loop multiplies plain ints only.  Its denominator prod (hi-w_i)! /
-    (lo-w_i)! and the head lo! / [prod (lo-w_i)! prod (m_j-lo)!] leave the
-    factor lo! / [prod (hi-w_i)! prod (m_j-lo)!], which _symbol applies.
+    and three m; a caller that holds lo and hi passes them.  An empty range
+    gives 0.  The sum is nested from the top term down over the term ratio
+    -(t+1) prod (m_j-t) / prod (t+1-w_i), so the loop multiplies plain ints
+    only.  Its denominator prod (hi-w_i)! / (lo-w_i)! and the head lo! /
+    [prod (lo-w_i)! prod (m_j-lo)!] leave the factor lo! / [prod (hi-w_i)!
+    prod (m_j-lo)!], which _symbol applies.
     Raises ValueError, before any work, past the bound of _check_cost.
     """
-    lo, hi = max(w), min(m)
+    lo, hi = (max(w), min(m)) if lo is None else (lo, hi)
     if lo > hi:
         return 0
     _check_cost(w, m, lo, hi)
@@ -106,9 +114,10 @@ def _alternating_sum(w: list[int], m: list[int], c0: int, c1: int) -> int:
 
 
 def _symbol(num: int, w: list[int], m: list[int], nums: list[int], dens: list[int],
-            den: int) -> ExactSymbol:
-    """num/den times the kernel's factorial head, times sqrt(prod nums! / prod dens!)."""
-    (w0, w1, w2, w3), (m0, m1, m2), lo, hi = w, m, max(w), min(m)
+            den: int, lo: int | None = None, hi: int | None = None) -> ExactSymbol:
+    """num/den times the kernel's factorial head on lo..hi, times sqrt(prod nums! / prod dens!)."""
+    (w0, w1, w2, w3), (m0, m1, m2) = w, m
+    lo, hi = (max(w), min(m)) if lo is None else (lo, hi)
     head_dens = [hi - w0, hi - w1, hi - w2, hi - w3, m0 - lo, m1 - lo, m2 - lo]
     return factorial_symbol(num, nums, dens, [lo], head_dens, den)
 
@@ -118,8 +127,9 @@ def sixj_exact(s: SpinSextuple) -> ExactSymbol:
     v, p = _sums(s.doubled())
     _check(v, p, "su2")
     w, m = _brackets(v, p)
-    num = _alternating_sum(w, m, 1, 1)
-    return _symbol(num, w, m, [mj - wi for mj in m for wi in w], [wi + 1 for wi in w], 1)
+    lo, hi = max(w), min(m)
+    num = _alternating_sum(w, m, 1, 1, lo, hi)
+    return _symbol(num, w, m, *_super_prefactor_args(v, p, 2), 1, lo, hi)
 
 
 def sixj_super_exact(s: SpinSextuple) -> ExactSymbol:
@@ -135,6 +145,7 @@ def sixj_super_exact(s: SpinSextuple) -> ExactSymbol:
     parity = _check(v, p, "osp12")
     beta = _beta_split(d, v, p) if parity is Parity.BETA else None
     w, m = _brackets(v, p)
+    lo, hi = max(w), min(m)
     # the sum runs with 4x the monomial, whose coefficients are then integers
-    num = _alternating_sum(w, m, *_monomial4(parity, d, beta))
-    return _symbol(-num if _jj(d) % 2 else num, w, m, *_super_prefactor_args(v, p), 4)
+    num = _alternating_sum(w, m, *_monomial4(parity, d, beta), lo, hi)
+    return _symbol(-num if _jj(d) % 2 else num, w, m, *_super_prefactor_args(v, p), 4, lo, hi)

@@ -86,7 +86,11 @@ class SpinSextuple(Record):
     def of(cls, *values) -> "SpinSextuple":
         if len(values) != 6:
             raise ValueError("a sextuple needs exactly six spins")
-        return cls._of_doubled(tuple(map(_twice_of, values)))
+        a, b, c, A, B, C = values  # class int, the common input, is doubled here; others by _twice_of
+        return cls._of_doubled((
+            2 * a if a.__class__ is int else _twice_of(a), 2 * b if b.__class__ is int else _twice_of(b),
+            2 * c if c.__class__ is int else _twice_of(c), 2 * A if A.__class__ is int else _twice_of(A),
+            2 * B if B.__class__ is int else _twice_of(B), 2 * C if C.__class__ is int else _twice_of(C)))
 
     @classmethod
     def parse(cls, texts) -> "SpinSextuple":

@@ -450,3 +450,66 @@ class TestCostBound:
         n = max(seen["args"] + loop) + 1
         estimate = (hi - lo + 1001) * n * n.bit_length()
         assert seen["cost"] == estimate if kind == "su2" else seen["cost"] >= estimate
+
+
+def _args_by_comprehension(v, p, lift):
+    """The prefactor lists as written before they were unrolled: (p_j - v_i)//2 over the
+    twelve pairs, p outer and v inner, and (v_i + lift)//2."""
+    return [(pj - vi) // 2 for pj in p for vi in v], [(vi + lift) // 2 for vi in v]
+
+
+DOUBLED_SUM = st.integers(-5, 10**7)
+
+
+class TestHandWrittenLists:
+    """The unrolled argument lists equal their comprehension definitions, entry by entry."""
+
+    @given(st.tuples(*[DOUBLED_SUM] * 4), st.tuples(*[DOUBLED_SUM] * 3), st.integers(1, 10**5))
+    @example((0, 1, 2, 3), (4, 5, 6), 1)
+    @example((2, 3, 5, 7), (11, 13, 17), 2)
+    @settings(max_examples=300, deadline=None)
+    def test_brackets(self, v, p, k):
+        want = [(k * x + 1) // 2 for x in v], [(k * x + 1) // 2 for x in p]
+        assert _brackets(v, p, k) == want
+        assert _brackets(v, p) == ([(x + 1) // 2 for x in v], [(x + 1) // 2 for x in p])
+
+    @given(st.tuples(*[DOUBLED_SUM] * 4), st.tuples(*[DOUBLED_SUM] * 3))
+    @example((1, 2, 4, 8), (16, 32, 64))
+    @settings(max_examples=300, deadline=None)
+    def test_prefactor_args(self, v, p):
+        assert _super_prefactor_args(v, p) == _args_by_comprehension(v, p, 1)
+        assert _super_prefactor_args(v, p, 2) == _args_by_comprehension(v, p, 2)
+
+    @given(st.one_of(su2_sextuples().map(lambda s: ("su2", s)), osp_sextuples().map(lambda s: ("super", s))))
+    @example(("su2", SpinSextuple.of(1, 2, 2, 2, 1, 2)))
+    @example(("super", SpinSextuple.of(1, 3 * HALF, 3 * HALF, 3 * HALF, 3 * HALF, 1)))  # beta
+    @settings(max_examples=200, deadline=None)
+    def test_evaluators_pass_the_defined_lists(self, case):
+        # SU(2): (m_j - w_i)! over (w_i + 1)!; super: floor(p_j - v_i)! over floor(v_i + 1/2)!;
+        # both: the head lo! over (hi - w_i)! and (m_j - lo)!
+        kind, s = case
+        seen = []
+        v, p = _sums(s.doubled())
+        w, m = _brackets(v, p)
+        lo, hi = max(w), min(m)
+
+        def record(num, *lists_and_den):
+            seen.append(lists_and_den)
+            return factorial_symbol(num, *lists_and_den)
+
+        with mock.patch.object(symbols, "factorial_symbol", record):
+            value = (sixj_exact if kind == "su2" else sixj_super_exact)(s)
+        if kind == "su2":
+            prefactor = [mj - wi for mj in m for wi in w], [wi + 1 for wi in w], 1
+        else:
+            prefactor = *_args_by_comprehension(v, p, 1), 4
+        head = [lo], [hi - wi for wi in w] + [mj - lo for mj in m]
+        nums, dens, den = prefactor
+        assert seen == [(nums, dens, *head, den)]
+        # the range an evaluator passes is the one the kernel and _symbol read from w and m
+        c = (1, 1) if kind == "su2" else monomial4(s)[1]
+        num = _alternating_sum(w, m, *c)
+        assert num == _alternating_sum(w, m, *c, lo, hi)
+        if kind == "super" and frontal_sign(s, 1) < 0:
+            num = -num
+        assert parts(value) == parts(_symbol(num, w, m, nums, dens, den))

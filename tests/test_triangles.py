@@ -1,3 +1,4 @@
+import enum
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -14,6 +15,7 @@ from sixj import (
     SpinSextuple,
     TriangleViolation,
 )
+from sixj.halfint import _twice_of
 from sixj.triangles import (
     _FACES,
     TriangleData,
@@ -96,6 +98,28 @@ class TestAdmissibility:
         for algebra in ("su2", "osp12"):
             with pytest.raises(IntegralityViolation, match="^recovered spin j1 is negative$"):
                 check_admissible(t, algebra)
+
+    @pytest.mark.parametrize("name, v, p", [
+        ("j2", (0, 0, 0, 0), (0, 1, 0)),
+        ("j3", (0, 0, 0, 0), (0, 0, 1)),
+        ("J1", (1, 0, 0, 0), (1, 1, 1)),
+        ("J2", (1, 1, 0, 0), (1, 1, 1)),
+        ("J3", (1, 0, 1, 0), (1, 1, 1)),
+    ])
+    def test_first_negative_recovered_spin_is_named(self, name, v, p):
+        # every recovered spin before it is a non-negative integer
+        t = TriangleData(v=hx(*v), p=hx(*p))
+        with pytest.raises(IntegralityViolation, match=f"^recovered spin {name} is negative$"):
+            check_admissible(t, "osp12")
+
+    def test_zero_spins_are_recovered_as_admissible(self):
+        for spins in [(1, 1, 0, 1, 1, 0), (0, 0, 0, 0, 0, 0), (HALF, HALF, 0, HALF, HALF, 0)]:
+            check_admissible(triangle_sums(SpinSextuple.of(*spins)), "osp12")
+
+    def test_is_admissible_is_false_on_each_violation(self):
+        assert not is_admissible(SpinSextuple.of(2, HALF, HALF, HALF, HALF, 2), "osp12")  # triangle
+        assert not is_admissible(SpinSextuple.of(*([HALF] * 6)), "su2")  # integrality
+        assert is_admissible(SpinSextuple.of(*([HALF] * 6)), "osp12")
 
     def test_unknown_algebra_raises_value_error(self):
         s = SpinSextuple.of(1, 1, 1, 1, 1, 1)
@@ -219,6 +243,21 @@ class TestRescale:
 
 
 class TestSextupleEdge:
+    @pytest.mark.parametrize("k, exc, message", [
+        (0, ValueError, "scale factor must be a positive integer, got 0"),
+        (-2, ValueError, "scale factor must be a positive integer, got -2"),
+        (2.0, TypeError, "scale factor must be an int, got float"),
+        (Fraction(2), TypeError, "scale factor must be an int, got Fraction"),
+        ("2", TypeError, "scale factor must be an int, got str"),
+    ])
+    def test_scaled_refuses_a_bad_factor(self, k, exc, message):
+        with pytest.raises(exc, match=f"^{message}$"):
+            SpinSextuple.of(1, 1, 1, 1, 1, 1).scaled(k)
+
+    def test_scaled_by_one_is_the_sextuple(self):
+        s = SpinSextuple.of(HALF, 1, HALF, 1, HALF, 1)
+        assert s.scaled(1) == s and s.scaled(3).doubled() == (3, 6, 3, 6, 3, 6)
+
     @pytest.mark.parametrize("slot,name", list(enumerate(("j1", "j2", "j3", "J1", "J2", "J3"))))
     def test_negative_spin_names_its_slot(self, slot, name):
         spins = [1] * 6
@@ -254,6 +293,75 @@ class TestSextupleEdge:
 
     def test_doubled(self):
         assert SpinSextuple.of(HALF, 1, 0, 2, Fraction(3, 2), 3).doubled() == (1, 2, 0, 4, 3, 6)
+
+
+class Spin(enum.IntEnum):
+    ZERO = 0
+    MINUS = -1
+    ONE = 1
+    SEVEN = 7
+
+
+# every kind of value that SpinSextuple.of accepts, negative ones included
+ACCEPTED = st.one_of(
+    st.integers(-3, 10**6),
+    st.booleans(),
+    st.sampled_from(Spin),
+    st.integers(-3, 10**6).map(Fraction),  # denominator 1
+    st.integers(-3, 10**6).map(lambda n: Fraction(2 * n + 1, 2)),  # denominator 2
+    st.integers(-3, 10**6).map(HalfInt),
+)
+REFUSED = [1.5, 2.0, "1", Fraction(1, 4), Fraction(-3, 4)]
+
+
+def _outcome(build, values):
+    """The doubled spins build(values) gives, with their types, or its exception and message."""
+    try:
+        d = build(values).doubled()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return d, tuple(map(type, d))
+
+
+def _of_by_twice_of(values):
+    """SpinSextuple.of as defined before its int fast path: every value through _twice_of."""
+    return SpinSextuple._of_doubled(tuple(map(_twice_of, values)))
+
+
+def _of(values):
+    return SpinSextuple.of(*values)
+
+
+class TestOfFastPath:
+    """SpinSextuple.of doubles plain ints itself; every value reads as _twice_of reads it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.tuples(*[ACCEPTED] * 6))
+    def test_doubles_every_value_as_twice_of_does(self, values):
+        got = _outcome(_of, values)
+        assert got == _outcome(_of_by_twice_of, values)
+        d = tuple(map(_twice_of, values))
+        if min(d) >= 0:
+            assert got == (d, (int,) * 6)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[ACCEPTED] * 6), st.integers(0, 5),
+           st.sampled_from(REFUSED + [-1, Spin.MINUS, Fraction(-1, 2), HalfInt(-3)]))
+    def test_refuses_as_twice_of_and_store_do(self, values, slot, bad):
+        values = values[:slot] + (bad,) + values[slot + 1:]
+        want = _outcome(_of_by_twice_of, values)
+        assert want[0] in (TypeError, ValueError)
+        assert _outcome(_of, values) == want
+
+    @pytest.mark.parametrize("slot,name", list(enumerate(SpinSextuple.__match_args__)))
+    @pytest.mark.parametrize("bad", [-1, -(10**20), Spin.MINUS, Fraction(-3, 2), HalfInt(-1)])
+    def test_a_negative_spin_in_any_slot_names_it(self, slot, name, bad):
+        # zeros of every kind around it: the first spin below 0, not below 1, is named
+        values = (0, Spin.ZERO, Fraction(0), HalfInt(0), False, 0)
+        values = values[:slot] + (bad,) + values[slot + 1:]
+        with pytest.raises(ValueError, match=rf"^spin {name} must be non-negative, got -"):
+            SpinSextuple.of(*values)
+        assert _outcome(_of, values) == _outcome(_of_by_twice_of, values)
 
 
 def _forms(twice: int):
