@@ -7,10 +7,12 @@ is a sign/mantissa/exponent triple that survives conversions whose
 intermediate numerators and denominators overflow any native float by
 thousands of orders of magnitude.
 
-``factorial_symbol`` builds a value from the prime-exponent vectors of its
-factorials, summed from a table of packed n! vectors up to ``_FACT_CAP`` and
-by Legendre over ``primes_up_to`` past it; ``from_prime_exponents``
-assembles it.  The sieve and the table grow on demand, replaced as a whole.
+A value built from factorials keeps their prime exponents as two signed sums
+of packed rows, the radicand's and the coefficient's; row a packs those of a!.
+``_rows`` gives a table of 16-bit fields up to ``_FACT_CAP`` and Legendre
+rows of 32-bit fields past it, and ``_from_packed`` unpacks the two sums for
+``from_prime_exponents``, the one builder.  The sieve and the table grow on
+demand, replaced as a whole.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
+from array import array
 from fractions import Fraction
 
 from .record import Record
@@ -45,72 +48,75 @@ def primes_up_to(n: int) -> list[int]:
     return primes[:bisect.bisect_right(primes, n)]
 
 
-# A row packs the exponent of the i-th prime in n! into a 16-bit field at bit
-# 16 i.  As v_p(n!) <= n - 1 <= 2047 up to _FACT_CAP, 15 rows minus 15, plus
-# 2**15 in every field, keep each field in (0, 2**16): no carry or borrow
-# crosses a field.  _facts is (rows n! for n < len, the primes below len); it
-# grows like _sieve, to at most _FACT_CAP + 1 rows (about 0.8 MB).
+# Row a packs the exponent of the i-th prime in a! into the field at bit 16 i (table)
+# or 32 i (Legendre).  As v_p(a!) <= a - 1, a sum of 15 rows minus 15 leaves every
+# field inside half its range, 15 * 2047 < 2**15 up to _FACT_CAP and 15 * 12487510 <
+# 2**31 below n = 12487512, the cost bound's largest.  _facts is (rows a! for a < len,
+# the primes below len), grown like _sieve to at most _FACT_CAP + 1 rows (0.8 MB).
 _FACT_CAP = 2048
 _facts: tuple[list[int], list[int]] = ([0], [])
 
 
-def _legendre(primes: list[int], nums: list[int], dens: list[int]) -> list[int]:
-    """Exponent of each prime in prod nums! / prod dens!: Legendre's sum of n // p**i."""
-    exps = []
-    for p in primes:
-        e = 0
-        for n in nums:
-            while n >= p:
-                n //= p
-                e += n
-        for n in dens:
-            while n >= p:
-                n //= p
-                e -= n
-        exps.append(e)
-    return exps
+class _LegendreRows(dict):
+    """Rows past the table, row a from Legendre's v_p(a!) = sum a // p**i over the primes p <= a,
+    computed on its first read: the 24 reads of an evaluation often repeat a row."""
+
+    def __missing__(self, a: int) -> int:
+        exps = array("i")  # 32-bit fields
+        for p in primes_up_to(a):
+            e, q = 0, a
+            while q >= p:
+                q //= p
+                e += q
+            exps.append(e)
+        row = self[a] = int.from_bytes(exps, sys.byteorder)
+        return row
+
+
+def _rows(n: int) -> tuple:
+    """(rows, primes, bits): rows[a] packs the exponents in a! of primes in bits-wide fields
+    for 0 <= a < n; the table, grown to n rows, up to _FACT_CAP, and Legendre rows past it."""
+    global _facts
+    rows, primes = _facts
+    if n <= len(rows):
+        return rows, primes, 16
+    if n > _FACT_CAP + 1:
+        return _LegendreRows(), primes_up_to(n - 1), 32
+    size = min(max(n, 2 * len(rows)), _FACT_CAP + 1)
+    primes = primes_up_to(size - 1)
+    rows = [0] * size  # the fields of j, then summed into those of j!
+    for i, p in enumerate(primes):
+        field, q = 1 << 16 * i, p
+        while q < size:
+            for j in range(q, size, q):
+                rows[j] += field
+            q *= p
+    for j in range(2, size):
+        rows[j] += rows[j - 1]
+    _facts = (rows, primes)  # replaced as a whole, like _sieve
+    return rows, primes, 16
+
+
+def _from_packed(num: int, primes: list[int], rad: int, coef: int, den: int, bits: int = 16) -> "ExactSymbol":
+    """(num/den) * prod p**c * sqrt(prod p**e), e and c the signed bits-wide fields of the
+    packed sums rad and coef; the table's fields are 16 bits wide."""
+    # f fields reach the highest non-zero one, as |e| < 2**(bits - 1); bias is 2**(bits - 1) in 2f fields
+    f = max(rad.bit_length(), coef.bit_length()) // bits + 1
+    bias = (1 << 2 * bits * f) // ((1 << bits) - 1) << bits - 1
+    # every biased field is e + 2**(bits - 1) > 0, and xor with the bias leaves e mod 2**bits
+    packed = ((rad + (coef << bits * f) + bias) ^ bias).to_bytes(bits * f // 4, sys.byteorder)
+    fields = memoryview(packed).cast("h" if bits == 16 else "i")
+    return ExactSymbol.from_prime_exponents(num, primes, fields[:f], fields[f:], den)
 
 
 def factorial_symbol(num: int, rad_nums: list[int], rad_dens: list[int],
                      coef_nums: list[int], coef_dens: list[int], den: int) -> "ExactSymbol":
-    """(num/den) * prod coef_nums! / prod coef_dens! * sqrt(prod rad_nums! / prod rad_dens!).
-
-    Arguments are non-negative ints, at most 15 per list.  Up to _FACT_CAP
-    the two exponent vectors are sums of table rows, packed side by side and
-    read back as signed 16-bit fields from one to_bytes; past it, Legendre.
-    """
-    global _facts
-    rows, primes = _facts
-    row = rows.__getitem__
-    try:
-        rad = sum(map(row, rad_nums)) - sum(map(row, rad_dens))
-        coef = sum(map(row, coef_nums)) - sum(map(row, coef_dens))
-    except IndexError:  # an argument past the table
-        top = max(rad_nums + rad_dens + coef_nums + coef_dens)
-        if top > _FACT_CAP:
-            primes = primes_up_to(top)
-            rad, coef = _legendre(primes, rad_nums, rad_dens), _legendre(primes, coef_nums, coef_dens)
-            return ExactSymbol.from_prime_exponents(num, primes, rad, coef, den)
-        size = min(max(top + 1, 2 * len(rows)), _FACT_CAP + 1)
-        primes = primes_up_to(size - 1)
-        rows = [0] * size  # the fields of j, then summed into those of j!
-        for i, p in enumerate(primes):
-            field, q = 1 << 16 * i, p
-            while q < size:
-                for j in range(q, size, q):
-                    rows[j] += field
-                q *= p
-        for j in range(2, size):
-            rows[j] += rows[j - 1]
-        _facts = (rows, primes)  # replaced as a whole, like _sieve
-        return factorial_symbol(num, rad_nums, rad_dens, coef_nums, coef_dens, den)
-    # f fields reach the highest non-zero one, as |e| < 2**15; bias is 2**15 in 2f fields
-    f = max(rad.bit_length(), coef.bit_length()) // 16 + 1
-    bias = (1 << 32 * f) // 0xFFFF << 15
-    # every biased field is e + 2**15 > 0, and xor with the bias leaves e mod 2**16
-    packed = ((rad + (coef << 16 * f) + bias) ^ bias).to_bytes(4 * f, sys.byteorder)
-    fields = memoryview(packed).cast("h")
-    return ExactSymbol.from_prime_exponents(num, primes, fields[:f], fields[f:], den)
+    """(num/den) * prod coef_nums! / prod coef_dens! * sqrt(prod rad_nums! / prod rad_dens!), from
+    non-negative ints, at most 15 per list: the evaluators' sums over lists, by _rows and _from_packed."""
+    rows, primes, bits = _rows(max(rad_nums + rad_dens + coef_nums + coef_dens, default=0) + 1)
+    rad = sum(map(rows.__getitem__, rad_nums)) - sum(map(rows.__getitem__, rad_dens))
+    coef = sum(map(rows.__getitem__, coef_nums)) - sum(map(rows.__getitem__, coef_dens))
+    return _from_packed(num, primes, rad, coef, den, bits)
 
 
 _TRIAL_BOUND = 2**20  # B, where ExactSymbol's trial division of a radicand stops

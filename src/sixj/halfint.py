@@ -78,11 +78,9 @@ def _twice_of(value) -> int:
     if isinstance(value, int):
         return 2 * value
     if isinstance(value, Fraction):
-        den = value.denominator
-        if den == 1:
-            return 2 * value.numerator
-        if den == 2:
-            return value.numerator
+        num, den = value.as_integer_ratio()  # one call, cheaper than numerator and denominator
+        if den <= 2:
+            return 2 * num // den
         raise ValueError(f"{value} is not a half-integer")
     if isinstance(value, HalfInt):
         return value.twice

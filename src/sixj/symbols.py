@@ -19,13 +19,15 @@ Both evaluators run one pipeline on the doubled spins d = (2j1, ..., 2J3),
 read once from the sextuple: doubled triangle data and admissibility from
 the ``triangles`` core, the sum's range from ``_brackets``, read once, the
 parity monomial scaled by 4 to integers, the frontal sign from sum d_i d_(i+3)
-and the prefactor arguments (p_j - v_i)//2 and (v_i + 1)//2, (v_i + 2)//2 for
-SU(2).  No HalfInt or Fraction is built before the sum.
+and one expression, ``_exponents``, reading the rows of ``exact``'s packed n!
+vectors at the prefactor's and the head's factorial arguments by subscript.
+No HalfInt or Fraction is built before the sum.
 """
 
 from __future__ import annotations
 
-from .exact import ExactSymbol, factorial_symbol
+from . import exact
+from .exact import ExactSymbol
 from .triangles import Parity, SpinSextuple, _beta_split, _check, _jj, _sums
 
 
@@ -47,16 +49,6 @@ def _monomial4(parity: Parity, d, beta) -> tuple[int, int]:
     return 2 * _jj(d) + 2 * sum(d) + 2, -4
 
 
-def _super_prefactor_args(v, p, lift: int = 1) -> tuple[list[int], list[int]]:
-    """The parity prefactor's factorial arguments from doubled sums (v, p), p_j >= v_i:
-    numerators floor(p_j - v_i) over the twelve pairs, denominators floor(v_i + 1/2).
-    With lift 2, the denominators are v_i + 1: SU(2)'s radicand, whose sums are integers."""
-    (v0, v1, v2, v3), (p0, p1, p2) = v, p
-    return ([(p0 - v0) // 2, (p0 - v1) // 2, (p0 - v2) // 2, (p0 - v3) // 2, (p1 - v0) // 2, (p1 - v1) // 2,
-             (p1 - v2) // 2, (p1 - v3) // 2, (p2 - v0) // 2, (p2 - v1) // 2, (p2 - v2) // 2, (p2 - v3) // 2],
-            [(v0 + lift) // 2, (v1 + lift) // 2, (v2 + lift) // 2, (v3 + lift) // 2])
-
-
 def _brackets(v, p, k: int = 1) -> tuple[list[int], list[int]]:
     """The kernel's w and m, floor(k v_i/2 + 1/2) and floor(k p_j/2 + 1/2), for k
     times the sextuple of doubled sums (v, p); k v_i/2 and k p_j/2 when integers, as in SU(2)."""
@@ -70,15 +62,19 @@ def _brackets(v, p, k: int = 1) -> tuple[list[int], list[int]]:
 # Legendre sums past the table take time and memory in proportion to n.  At
 # the bound, all-ones SU(2) at k = 64051 takes about 63 s on one core; one
 # term takes 2 s or less and under 75 MB peak RSS ({0 0 0; N N N} and
-# {N N 0; N N 0} at N = 6243755: 67 MB).  Memory limits few terms, and the
+# {N N 0; N N 0} at N = 6243755: 70 MB).  Memory limits few terms, and the
 # weight sets that limit.
 MAX_EXACT_COST = 3 * 10**11
 
 
+def _bound(w: list[int], m: list[int], lo: int, hi: int) -> int:
+    """n, where n - 1 bounds the head's, both prefactors' and the loop's factors."""
+    return max(hi, max(m) - min(w), lo + 1) + 1
+
+
 def _check_cost(w: list[int], m: list[int], lo: int, hi: int, spent: int = 0) -> int:
-    """spent plus the estimated cost of the kernel on (w, m) over lo..hi, ValueError past
-    MAX_EXACT_COST; n - 1 bounds the head's, both prefactors' and the loop's factors."""
-    n = max(hi, max(m) - min(w), lo + 1) + 1
+    """spent plus the kernel's estimated cost on (w, m) over lo..hi; ValueError past MAX_EXACT_COST."""
+    n = _bound(w, m, lo, hi)
     spent += (hi - lo + 1001) * n * n.bit_length()
     if spent > MAX_EXACT_COST:
         raise ValueError("spins are too large for exact evaluation")
@@ -113,13 +109,28 @@ def _alternating_sum(w: list[int], m: list[int], c0: int, c1: int,
     return -num if lo % 2 else num
 
 
-def _symbol(num: int, w: list[int], m: list[int], nums: list[int], dens: list[int],
-            den: int, lo: int | None = None, hi: int | None = None) -> ExactSymbol:
-    """num/den times the kernel's factorial head on lo..hi, times sqrt(prod nums! / prod dens!)."""
-    (w0, w1, w2, w3), (m0, m1, m2) = w, m
-    lo, hi = (max(w), min(m)) if lo is None else (lo, hi)
-    head_dens = [hi - w0, hi - w1, hi - w2, hi - w3, m0 - lo, m1 - lo, m2 - lo]
-    return factorial_symbol(num, nums, dens, [lo], head_dens, den)
+def _exponents(rows, v, p, lift: int, w: list[int], m: list[int], lo: int, hi: int) -> tuple[int, int]:
+    """(rad, coef), rows[a] packing the exponents of a!: the prefactor's rows (p_j - v_i)//2 minus
+    (v_i + lift)//2, lift 2 for SU(2); the head's row lo minus rows hi - w_i and m_j - lo."""
+    (v0, v1, v2, v3), (p0, p1, p2), (w0, w1, w2, w3), (m0, m1, m2) = v, p, w, m
+    rad = (rows[(p0 - v0) // 2] + rows[(p0 - v1) // 2] + rows[(p0 - v2) // 2] + rows[(p0 - v3) // 2]
+           + rows[(p1 - v0) // 2] + rows[(p1 - v1) // 2] + rows[(p1 - v2) // 2] + rows[(p1 - v3) // 2]
+           + rows[(p2 - v0) // 2] + rows[(p2 - v1) // 2] + rows[(p2 - v2) // 2] + rows[(p2 - v3) // 2]
+           - rows[(v0 + lift) // 2] - rows[(v1 + lift) // 2] - rows[(v2 + lift) // 2] - rows[(v3 + lift) // 2])
+    coef = (rows[lo] - rows[hi - w0] - rows[hi - w1] - rows[hi - w2] - rows[hi - w3]
+            - rows[m0 - lo] - rows[m1 - lo] - rows[m2 - lo])
+    return rad, coef
+
+
+def _symbol(num: int, v, p, lift: int, w: list[int], m: list[int], lo: int, hi: int, den: int) -> ExactSymbol:
+    """num/den times the factorials _exponents reads: from the table, or past it from exact._rows."""
+    rows, primes = exact._facts
+    try:
+        rad, coef = _exponents(rows, v, p, lift, w, m, lo, hi)
+    except IndexError:  # an argument past the table
+        rows, primes, bits = exact._rows(_bound(w, m, lo, hi))
+        return exact._from_packed(num, primes, *_exponents(rows, v, p, lift, w, m, lo, hi), den, bits)
+    return exact._from_packed(num, primes, rad, coef, den)
 
 
 def sixj_exact(s: SpinSextuple) -> ExactSymbol:
@@ -129,7 +140,7 @@ def sixj_exact(s: SpinSextuple) -> ExactSymbol:
     w, m = _brackets(v, p)
     lo, hi = max(w), min(m)
     num = _alternating_sum(w, m, 1, 1, lo, hi)
-    return _symbol(num, w, m, *_super_prefactor_args(v, p, 2), 1, lo, hi)
+    return _symbol(num, v, p, 2, w, m, lo, hi, 1)
 
 
 def sixj_super_exact(s: SpinSextuple) -> ExactSymbol:
@@ -148,4 +159,4 @@ def sixj_super_exact(s: SpinSextuple) -> ExactSymbol:
     lo, hi = max(w), min(m)
     # the sum runs with 4x the monomial, whose coefficients are then integers
     num = _alternating_sum(w, m, *_monomial4(parity, d, beta), lo, hi)
-    return _symbol(-num if _jj(d) % 2 else num, w, m, *_super_prefactor_args(v, p), 4, lo, hi)
+    return _symbol(-num if _jj(d) % 2 else num, v, p, 1, w, m, lo, hi, 4)

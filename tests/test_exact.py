@@ -18,6 +18,8 @@ from sixj import (ExactSymbol, ScaledFloat, SixjError, SpinSextuple, asym_for_sc
                   scan, sixj_exact, sixj_super_exact, symbols)
 from sixj.exact import _ratio_to_mantissa, exact_to_scaled, factorial_symbol, primes_up_to
 from sixj.symbols import _alternating_sum, _symbol
+from sixj.triangles import _sums
+from cores import exponent_reads
 from oracles import parts, primes_by_trial_division, squarefree_split
 from test_golden import DATA as GOLDEN, run_cli
 
@@ -46,14 +48,29 @@ def test_factorial_trailing_zeros_matches_legendre():
     assert text.endswith("0" * zeros) and not text.endswith("0" * (zeros + 1))
 
 
+@pytest.mark.parametrize("cap", [2048, 0])  # table rows, then Legendre rows
+def test_factorial_symbol_matches_exact_factorials(monkeypatch, cap):
+    monkeypatch.setattr(exact, "_FACT_CAP", cap)
+    monkeypatch.setattr(exact, "_facts", EMPTY_TABLE)
+    rng = random.Random(24)
+    for _ in range(40):
+        lists = [[rng.randint(0, 60) for _ in range(rng.randint(0, 5))] for _ in range(4)]
+        num, den = rng.randint(-99, 99), rng.randint(1, 99)
+        rad_nums, rad_dens, coef_nums, coef_dens = ([math.factorial(a) for a in args] for args in lists)
+        coeff = Fraction(num * math.prod(coef_nums), den * math.prod(coef_dens))
+        radicand = Fraction(math.prod(rad_nums), math.prod(rad_dens))
+        assert parts(factorial_symbol(num, *lists, den)) == parts(ExactSymbol(coeff, radicand)), lists
+
+
 def test_factorial_table_consistent():
     # the kernel's single term at t = n is (-1)^n n! / (0!^4 0!^3): the numerator
-    # (-1)^n, times the head n! / (0!^4 0!^3) that _symbol takes from the table
+    # (-1)^n, times the head n! / (0!^4 0!^3) that _symbol takes from the table;
+    # doubled sums 0 make the prefactor 0!^12 / 0!^4 = 1
     table = [_alternating_sum([n] * 4, [n] * 3, 1, 0) for n in range(31)]
     assert table[0] == 1
     for n in (1, 7, 19, 30):
         assert table[n] == (-1) ** n
-        value = _symbol(table[n], [n] * 4, [n] * 3, [], [], 1)
+        value = _symbol(table[n], (0,) * 4, (0,) * 3, 1, [n] * 4, [n] * 3, n, n, 1)
         assert value == ExactSymbol(Fraction((-1) ** n * math.factorial(n)), Fraction(1))
 
 
@@ -279,6 +296,10 @@ class TestScaledFloat:
         assert float(ScaledFloat(1.5, 3)) == 12.0
         assert exact_to_scaled(ExactSymbol.zero()) == z
 
+    def test_sign_at_mantissa_one(self):
+        # a power of two has mantissa exactly +-1.0
+        assert ScaledFloat(1.0, 7).sign == 1 and ScaledFloat(-1.0, -3).sign == -1 and ScaledFloat.zero().sign == 0
+
     def test_mantissa_range_enforced(self):
         with pytest.raises(ValueError):
             ScaledFloat(2.5, 0)
@@ -490,9 +511,9 @@ def test_from_prime_exponents_coefficient_exponents_match_fraction(num, den, exp
 EMPTY_TABLE = ([0], [])  # the table before any request: 0! and no prime
 
 
-def unpacked(row: int, fields: int) -> list[int]:
-    """The 16-bit fields of a table row, lowest first."""
-    return [(row >> (16 * i)) & 0xFFFF for i in range(fields)]
+def unpacked(row: int, fields: int, bits: int = 16) -> list[int]:
+    """The fields of a row, lowest first: 16 bits in the table, 32 in a Legendre row."""
+    return [(row >> (bits * i)) & ((1 << bits) - 1) for i in range(fields)]
 
 
 class TestFactorialTable:
@@ -501,7 +522,7 @@ class TestFactorialTable:
     def test_fields_stay_inside_sixteen_bits(self):
         cap = exact._FACT_CAP
         # v_p(n!) <= n - 1: the largest exponent in any row is that of 2 in cap!
-        assert max(exact._legendre(primes_up_to(cap), [cap], [])) == cap - 1 == 2047
+        assert max(unpacked(exact._LegendreRows()[cap], len(primes_up_to(cap)), 32)) == cap - 1 == 2047
         # radicand: twelve rows over four; coefficient: one row over seven
         radicand = (2**15 - 4 * (cap - 1), 2**15 + 12 * (cap - 1))
         coefficient = (2**15 - 7 * (cap - 1), 2**15 + (cap - 1))
@@ -511,17 +532,64 @@ class TestFactorialTable:
         assert 0 < 2**15 - 15 * (cap - 1) and 2**15 + 15 * (cap - 1) < 2**16
 
     def test_evaluators_pass_at_most_fifteen_arguments_per_list(self, monkeypatch):
+        # the rows the evaluators' one expression adds to and subtracts from each vector,
+        # read through a recording row source: (rad +, rad -, coef +, coef -)
         seen = set()
+        expression = symbols._exponents
 
-        def spy(num, *lists):
-            seen.add(tuple(map(len, lists[:4])))
-            return factorial_symbol(num, *lists)
+        def spy(rows, *args):
+            seen.add(tuple(sum(sign == side for sign, _ in reads) for reads in exponent_reads(*args) for side in (1, -1)))
+            return expression(rows, *args)
 
-        monkeypatch.setattr(symbols, "factorial_symbol", spy)
+        monkeypatch.setattr(symbols, "_exponents", spy)
         sixj_exact(SpinSextuple.of(1, 2, 2, 2, 1, 2))
         for spins in [(1,) * 6, (1, 1.5, 1.5, 1.5, 1.5, 1), (0.5,) * 6]:  # alpha, beta, gamma
             sixj_super_exact(SpinSextuple.of(*map(Fraction, spins)))
-        assert seen == {(12, 4, 1, 7)}
+        assert seen == {(12, 4, 1, 7)} and max(max(counts) for counts in seen) <= 15
+
+    def test_legendre_rows_equal_the_table_rows(self, monkeypatch):
+        # field by field, for every row of the table
+        monkeypatch.setattr(exact, "_facts", EMPTY_TABLE)
+        rows, primes, bits = exact._rows(exact._FACT_CAP + 1)
+        assert bits == 16 and len(rows) == exact._FACT_CAP + 1
+        legendre = exact._LegendreRows()
+        for a in range(exact._FACT_CAP + 1):
+            assert unpacked(legendre[a], len(primes), 32) == unpacked(rows[a], len(primes)), a
+            assert legendre[a] >> 32 * len(primes) == 0
+
+    def test_rows_past_the_cap_are_legendre_rows(self, monkeypatch):
+        monkeypatch.setattr(exact, "_facts", EMPTY_TABLE)
+        top = exact._FACT_CAP + 1  # 2049 = 3 * 683
+        rows, primes, bits = exact._rows(top + 1)
+        assert isinstance(rows, exact._LegendreRows) and bits == 32 and primes == primes_up_to(top)
+        assert exact._facts is EMPTY_TABLE  # the table does not grow past the cap
+        fact = math.factorial(top)
+        for p, e in zip(primes, unpacked(rows[top], len(primes), 32)):
+            assert fact % p**e == 0 and fact % p ** (e + 1) != 0, (p, e)
+
+    def test_rows_below_n_take_the_primes_below_n(self, monkeypatch):
+        # n = 2053 is prime, and no a! with a < n has it
+        monkeypatch.setattr(exact, "_facts", EMPTY_TABLE)
+        assert exact._rows(2053)[1] == primes_up_to(2052) != primes_up_to(2053)
+
+    def test_table_at_least_doubles_when_it_grows(self, monkeypatch):
+        monkeypatch.setattr(exact, "_facts", EMPTY_TABLE)
+        for n, size in [(11, 11), (12, 22), (30, 44), (2000, 2000), (2001, 2049)]:
+            assert len(exact._rows(n)[0]) == size
+
+    def test_legendre_fields_cannot_overflow_below_the_cost_bound(self):
+        # n = 12487512 is the largest n whose one-term cost 1001 n log2 n the bound accepts,
+        # the n of {0 0 0; N N N} at N = 6243755; every row read is that of some a! with a <= n - 1
+        n = 12487512
+        assert 1001 * n * n.bit_length() <= symbols.MAX_EXACT_COST < 1001 * (n + 1) * (n + 1).bit_length()
+        v, p = _sums(SpinSextuple.of(0, 0, 0, 6243755, 6243755, 6243755).doubled())
+        w, m = symbols._brackets(v, p)
+        assert symbols._bound(w, m, max(w), min(m)) == n == 2 * 6243756
+        # the largest field of any row there, v_2((n - 1)!): n - 1 less its binary digit sum
+        e = (n - 1) - bin(n - 1).count("1")
+        assert e == sum((n - 1) >> i for i in range(1, n.bit_length())) and e <= n - 2
+        # fifteen rows on either side, biased by 2**31, stay inside (0, 2**32)
+        assert 0 < 2**31 - 15 * e and 2**31 + 15 * e < 2**32
 
     def test_rows_are_the_exponents_of_n_factorial(self, monkeypatch):
         monkeypatch.setattr(exact, "_facts", EMPTY_TABLE)
@@ -567,6 +635,7 @@ class TestFactorialTable:
         rng = random.Random(71)
         cases = [[rng.randint(0, n) for _ in range(4)] for n in sorted(rng.randint(1, 2048) for _ in range(60))]
         monkeypatch.setattr(exact, "_FACT_CAP", 0)  # every case by Legendre
+        monkeypatch.setattr(exact, "_facts", EMPTY_TABLE)
         want = [factorial_symbol(1, c[:2], c[2:3], c[3:], [], 1) for c in cases]
         monkeypatch.setattr(exact, "_FACT_CAP", 2048)
         monkeypatch.setattr(exact, "_facts", EMPTY_TABLE)

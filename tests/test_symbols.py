@@ -20,9 +20,9 @@ from sixj import (
 )
 from sixj import asymptotics, symbols
 from sixj.exact import factorial_symbol
-from sixj.symbols import _alternating_sum, _brackets, _check_cost, _super_prefactor_args, _symbol
+from sixj.symbols import _alternating_sum, _bound, _brackets, _check_cost, _exponents, _symbol
 from sixj.triangles import _sums, beta_decompose, classify_parity, is_admissible, triangle_sums
-from cores import frontal_sign, monomial4
+from cores import exponent_reads, frontal_sign, monomial4, signed
 from oracles import (
     frontal_sign_closed_form,
     parts,
@@ -191,13 +191,13 @@ class TestPrefactors:
     def test_alpha_all_ones(self):
         t = triangle_sums(SpinSextuple.of(1, 1, 1, 1, 1, 1))
         assert classify_parity(t) is Parity.ALPHA
-        args = _super_prefactor_args(*t.doubled())
+        args = _args_by_comprehension(*t.doubled(), 1)
         assert factorial_symbol(1, *args, [], [], 1).squared() == Fraction(1, 1296)
 
     def test_gamma_all_halves(self):
         t = triangle_sums(SpinSextuple.of(*([HALF] * 6)))
         assert classify_parity(t) is Parity.GAMMA
-        args = _super_prefactor_args(*t.doubled())
+        args = _args_by_comprehension(*t.doubled(), 1)
         assert factorial_symbol(1, *args, [], [], 1).squared() == Fraction(1, 16)
 
     def test_beta_matches_explicit_product(self):
@@ -216,7 +216,7 @@ class TestPrefactors:
                 * f(pbp - vb) * f(pbp - vbp) * f(pbp - v - HALF) * f(pbp - vp - HALF),
                 f(v) * f(vp) * f(vb + HALF) * f(vbp + HALF),
             )
-            nums, dens = _super_prefactor_args(*t.doubled())
+            nums, dens = _args_by_comprehension(*t.doubled(), 1)
             product = Fraction(
                 math.prod(map(math.factorial, nums)), math.prod(map(math.factorial, dens))
             )
@@ -227,7 +227,7 @@ class TestPrefactors:
         # the int ratio num/den is passed unreduced, as two ints
         rng = random.Random(51)
         for s in random_admissible(rng, n=100):
-            nums, dens = _super_prefactor_args(*triangle_sums(s).doubled())
+            nums, dens = _args_by_comprehension(*triangle_sums(s).doubled(), 1)
             num, den = rng.randint(-(10**9), 10**9), rng.randint(1, 10**6)
             value = factorial_symbol(6 * num, nums, dens, [], [], 6 * den)
             assert parts(value) == parts(factorial_symbol(num, nums, dens, [], [], den))
@@ -278,13 +278,14 @@ class TestAlternatingSum:
     @settings(max_examples=300, deadline=None)
     def test_matches_term_by_term_sum(self, args):
         w, m, c0, c1 = args
-        # the numerator times lo! / [prod (hi-w_i)! prod (m_j-lo)!], by hand and by _symbol
+        # the numerator times lo! / [prod (hi-w_i)! prod (m_j-lo)!], by hand and by _symbol,
+        # whose prefactor is 0!^12 / 0!^4 = 1 on doubled sums 0
         num = _alternating_sum(w, m, c0, c1)
         lo, hi = max(w), min(m)
         den = math.prod(math.factorial(hi - x) for x in w) * math.prod(math.factorial(x - lo) for x in m)
         value = Fraction(num * math.factorial(lo), den)
         assert value == _term_by_term(w, m, c0, c1)
-        assert _symbol(num, w, m, [], [], 1) == ExactSymbol(value, Fraction(1))
+        assert _symbol(num, (0,) * 4, (0,) * 3, 1, w, m, lo, hi, 1) == ExactSymbol(value, Fraction(1))
 
     def test_empty_range_is_zero(self):
         assert _alternating_sum([5, 1, 1, 1], [4, 6, 6], 1, 1) == 0
@@ -408,7 +409,7 @@ class TestCostBound:
     ])
     def test_evaluators_refuse_before_any_work(self, monkeypatch, evaluate, spins):
         monkeypatch.setattr(symbols, "MAX_EXACT_COST", 10**6)
-        monkeypatch.setattr(symbols, "factorial_symbol", None)  # a call would raise TypeError
+        monkeypatch.setattr(symbols, "_symbol", None)  # a call would raise TypeError
         with pytest.raises(ValueError, match="^spins are too large for exact evaluation$"):
             evaluate(SpinSextuple.of(*spins))
 
@@ -428,8 +429,8 @@ class TestCostBound:
     @example(("super", SpinSextuple.of(*[HALF] * 6)))
     @settings(max_examples=200, deadline=None)
     def test_n_bounds_every_factorial_argument(self, case):
-        # n - 1 >= every argument _symbol and the prefactor lists pass, and every factor
-        # of the loop; for SU(2) the bound is attained, so the estimate is tight
+        # n - 1 >= every row the expression reads and every factor of the loop; for SU(2)
+        # the bound is attained, so the estimate is tight
         kind, s = case
         seen = {}
 
@@ -437,17 +438,20 @@ class TestCostBound:
             seen["kernel"], seen["cost"] = (w, m, lo, hi), _check_cost(w, m, lo, hi, spent)
             return seen["cost"]
 
-        def record(num, *lists_and_den):
-            seen["args"] = [x for args in lists_and_den[:4] for x in args]
-            return factorial_symbol(num, *lists_and_den)
+        def record(rows, *args):
+            seen["reads"] = exponent_reads(*args)
+            return _exponents(rows, *args)
 
         with mock.patch.object(symbols, "_check_cost", check), \
-                mock.patch.object(symbols, "factorial_symbol", record):
+                mock.patch.object(symbols, "_exponents", record):
             (sixj_exact if kind == "su2" else sixj_super_exact)(s)
-        assume("args" in seen)  # an exact zero builds no factorial
         w, m, lo, hi = seen["kernel"]
+        rows = [a for reads in seen["reads"] for _, a in reads]
+        # at most 15 rows add to or subtract from either vector, so no field overflows
+        assert all(sum(sign == side for sign, _ in reads) <= 15 for reads in seen["reads"] for side in (1, -1))
+        assert 0 <= min(rows) and max(rows) <= _bound(w, m, lo, hi) - 1
         loop = [hi, hi - min(w), max(m) - lo] if hi > lo else []
-        n = max(seen["args"] + loop) + 1
+        n = max(rows + loop) + 1
         estimate = (hi - lo + 1001) * n * n.bit_length()
         assert seen["cost"] == estimate if kind == "su2" else seen["cost"] >= estimate
 
@@ -462,7 +466,7 @@ DOUBLED_SUM = st.integers(-5, 10**7)
 
 
 class TestHandWrittenLists:
-    """The unrolled argument lists equal their comprehension definitions, entry by entry."""
+    """The unrolled brackets and the expression's rows equal their comprehension definitions."""
 
     @given(st.tuples(*[DOUBLED_SUM] * 4), st.tuples(*[DOUBLED_SUM] * 3), st.integers(1, 10**5))
     @example((0, 1, 2, 3), (4, 5, 6), 1)
@@ -477,8 +481,11 @@ class TestHandWrittenLists:
     @example((1, 2, 4, 8), (16, 32, 64))
     @settings(max_examples=300, deadline=None)
     def test_prefactor_args(self, v, p):
-        assert _super_prefactor_args(v, p) == _args_by_comprehension(v, p, 1)
-        assert _super_prefactor_args(v, p, 2) == _args_by_comprehension(v, p, 2)
+        # the rows _exponents reads into rad, through a recording row source, with lift 1 and 2
+        w, m = _brackets(v, p)
+        for lift in (1, 2):
+            rad, _ = exponent_reads(v, p, lift, w, m, max(w), min(m))
+            assert rad == signed(*_args_by_comprehension(v, p, lift))
 
     @given(st.one_of(su2_sextuples().map(lambda s: ("su2", s)), osp_sextuples().map(lambda s: ("super", s))))
     @example(("su2", SpinSextuple.of(1, 2, 2, 2, 1, 2)))
@@ -486,18 +493,19 @@ class TestHandWrittenLists:
     @settings(max_examples=200, deadline=None)
     def test_evaluators_pass_the_defined_lists(self, case):
         # SU(2): (m_j - w_i)! over (w_i + 1)!; super: floor(p_j - v_i)! over floor(v_i + 1/2)!;
-        # both: the head lo! over (hi - w_i)! and (m_j - lo)!
+        # both: the head lo! over (hi - w_i)! and (m_j - lo)!; as the signed multisets of
+        # rows that the evaluators' one expression reads, through a recording row source
         kind, s = case
         seen = []
         v, p = _sums(s.doubled())
         w, m = _brackets(v, p)
         lo, hi = max(w), min(m)
 
-        def record(num, *lists_and_den):
-            seen.append(lists_and_den)
-            return factorial_symbol(num, *lists_and_den)
+        def record(rows, *args):
+            seen.append((args[3:], exponent_reads(*args)))
+            return _exponents(rows, *args)
 
-        with mock.patch.object(symbols, "factorial_symbol", record):
+        with mock.patch.object(symbols, "_exponents", record):
             value = (sixj_exact if kind == "su2" else sixj_super_exact)(s)
         if kind == "su2":
             prefactor = [mj - wi for mj in m for wi in w], [wi + 1 for wi in w], 1
@@ -505,11 +513,11 @@ class TestHandWrittenLists:
             prefactor = *_args_by_comprehension(v, p, 1), 4
         head = [lo], [hi - wi for wi in w] + [mj - lo for mj in m]
         nums, dens, den = prefactor
-        assert seen == [(nums, dens, *head, den)]
-        # the range an evaluator passes is the one the kernel and _symbol read from w and m
+        assert seen == [((w, m, lo, hi), (signed(nums, dens), signed(*head)))]
+        # the range an evaluator passes is the one the kernel reads from w and m
         c = (1, 1) if kind == "su2" else monomial4(s)[1]
         num = _alternating_sum(w, m, *c)
         assert num == _alternating_sum(w, m, *c, lo, hi)
         if kind == "super" and frontal_sign(s, 1) < 0:
             num = -num
-        assert parts(value) == parts(_symbol(num, w, m, nums, dens, den))
+        assert parts(value) == parts(factorial_symbol(num, nums, dens, *head, den))
