@@ -12,7 +12,9 @@ of packed rows, the radicand's and the coefficient's; row a packs those of a!.
 ``_rows`` gives a table of 16-bit fields up to ``_FACT_CAP`` and Legendre
 rows of 32-bit fields past it, and ``_from_packed`` unpacks the two sums for
 ``from_prime_exponents``, the one builder.  The sieve and the table grow on
-demand, replaced as a whole.
+demand, replaced as a whole.  The builder reduces the coefficient with one
+gcd and writes each result's Fractions and record through their slots, as
+``fractions`` builds its own results: no constructor runs per value.
 """
 
 from __future__ import annotations
@@ -119,6 +121,17 @@ def factorial_symbol(num: int, rad_nums: list[int], rad_dens: list[int],
     return _from_packed(num, primes, rad, coef, den, bits)
 
 
+def _fraction(n: int, d: int) -> Fraction:
+    """Fraction(n, d) for ints n and d >= 1 with gcd(n, d) == 1, its two slots written
+    as fractions writes those of its own results (Fraction._from_coprime_ints from 3.12):
+    such a pair is what Fraction(n, d) would store, so the result is that Fraction."""
+    q = object.__new__(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)  # shared by every zero and every radicand 1
 _TRIAL_BOUND = 2**20  # B, where ExactSymbol's trial division of a radicand stops
 
 
@@ -179,7 +192,7 @@ class ExactSymbol(Record):
 
     @classmethod
     def zero(cls) -> "ExactSymbol":
-        return cls._stored(Fraction(0), Fraction(1))
+        return cls._stored(_ZERO, _ONE)
 
     @classmethod
     def from_prime_exponents(cls, num: int, primes, rad, coef, den: int) -> "ExactSymbol":
@@ -188,7 +201,8 @@ class ExactSymbol(Record):
         The primes need only be square-free and pairwise coprime.  The radicand's
         square part joins the coefficient's exponents, and each odd-exponent
         prime enters the radicand once: the value is canonical.  The unreduced
-        int ratio num/den is reduced once, with the coefficient's primes.
+        int ratio num/den is reduced once, with the coefficient's primes, by one
+        gcd; the radicand's two sides share no prime, so they are coprime.
         """
         mult_num = mult_den = 1
         rad_num = rad_den = 1
@@ -204,10 +218,14 @@ class ExactSymbol(Record):
                 mult_num *= p**c
             elif c < 0:
                 mult_den *= p**-c
-        q = Fraction(num * mult_num, den * mult_den)
-        if not q:
+        n, d = num * mult_num, den * mult_den
+        if not d:
+            raise ZeroDivisionError(f"Fraction({n}, 0)")
+        if not n:
             return cls.zero()
-        return cls._stored(q, Fraction(rad_num, rad_den))
+        g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)  # the sign on the numerator, as in Fraction
+        radicand = _ONE if rad_num == rad_den == 1 else _fraction(rad_num, rad_den)
+        return cls._stored(_fraction(n // g, d // g), radicand)
 
     # -- queries -----------------------------------------------------------
 
@@ -231,8 +249,8 @@ class ExactSymbol(Record):
     @classmethod
     def _stored(cls, coeff, radicand):  # a canonical pair as it stands: no factoring
         value = object.__new__(cls)
-        object.__setattr__(value, "coeff", coeff)
-        object.__setattr__(value, "radicand", radicand)
+        _set_coeff(value, coeff)
+        _set_radicand(value, radicand)
         return value
 
     def __reduce__(self):
@@ -243,6 +261,9 @@ class ExactSymbol(Record):
 
     def __str__(self) -> str:
         return f"{self.coeff} * sqrt({self.radicand})"
+
+
+_set_coeff, _set_radicand = ExactSymbol.coeff.__set__, ExactSymbol.radicand.__set__
 
 
 class ScaledFloat(Record):

@@ -118,12 +118,15 @@ def _scale_factor(k) -> int:
     return k
 
 
+_set_d = SpinSextuple._d.__set__
+
+
 def _store(s: SpinSextuple, d: tuple[int, ...]) -> None:
     """Set the doubled spins d of a new sextuple; ValueError names a negative one."""
     if min(d) < 0:
         name, twice = next((n, x) for n, x in zip(_FIELD_NAMES, d) if x < 0)
         raise ValueError(f"spin {name} must be non-negative, got {_half_text(twice)}")
-    object.__setattr__(s, "_d", d)
+    _set_d(s, d)
 
 
 class TriangleData(Record):

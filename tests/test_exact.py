@@ -1,9 +1,11 @@
 import copy
+import inspect
 import itertools
 import json
 import math
 import pickle
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -14,14 +16,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sixj import (ExactSymbol, ScaledFloat, SixjError, SpinSextuple, asym_for_scaled, asym_standard, exact,
+from sixj import (ExactSymbol, Parity, ScaledFloat, SixjError, SpinSextuple, asym_for_scaled, asym_standard, exact,
                   scan, sixj_exact, sixj_super_exact, symbols)
 from sixj.exact import _ratio_to_mantissa, exact_to_scaled, factorial_symbol, primes_up_to
-from sixj.symbols import _alternating_sum, _symbol
-from sixj.triangles import _sums
+from sixj.symbols import _alternating_sum, _bound, _brackets, _symbol
+from sixj.triangles import _check, _sums
 from cores import exponent_reads
 from oracles import parts, primes_by_trial_division, squarefree_split
-from test_golden import DATA as GOLDEN, run_cli
+from test_golden import DATA as GOLDEN, other_interpreters, run_cli
 
 
 def _scaled(q: Fraction) -> ScaledFloat:
@@ -295,6 +297,11 @@ class TestScaledFloat:
         assert z.to_float() == 0.0
         assert float(ScaledFloat(1.5, 3)) == 12.0
         assert exact_to_scaled(ExactSymbol.zero()) == z
+
+    def test_ratio_to_float_refuses_a_quotient_past_the_float_range(self):
+        assert exact._ratio_to_float(10**400, 3 * 10**399, "unused") == 10 / 3
+        with pytest.raises(ValueError, match="^no float$"):
+            exact._ratio_to_float(10**400, 3, "no float")
 
     def test_sign_at_mantissa_one(self):
         # a power of two has mantissa exactly +-1.0
@@ -673,3 +680,193 @@ class TestFactorialTable:
         value = sixj_exact(SpinSextuple.of(a, b, c, b, a, 0))
         sign = -1 if (a + b + c) % 2 else 1
         assert parts(value) == parts(ExactSymbol(Fraction(sign), Fraction(1, (2 * a + 1) * (2 * b + 1))))
+
+
+# -- values built without a constructor ---------------------------------------
+
+
+def fraction_view(q) -> tuple:
+    """What a reader can see of a Fraction q: its type, value, hash, text, parts, float, sums and
+    products with Fractions and ints, order, copies and pickles at every protocol; stdlib only,
+    as other interpreters run it from its source."""
+    import copy
+    import pickle
+    from fractions import Fraction
+    others = [Fraction(1, 3), Fraction(-7, 2), Fraction(q.numerator, q.denominator), 0, 1, -5, 2**70]
+    arithmetic = [(r, type(r)) for x in others for r in (q + x, x + q, q * x, x * q)]
+    order = [(q < x, q <= x, q > x, q >= x, q == x, x == q, q != x) for x in others]
+    again = [copy.copy(q), copy.deepcopy(q)]
+    again += [pickle.loads(pickle.dumps(q, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    return (type(q), q.numerator, q.denominator, hash(q), repr(q), str(q), q.as_integer_ratio(), float(q),
+            bool(q), arithmetic, order, [(type(c), c.numerator, c.denominator, c == q) for c in again])
+
+
+def coprime(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms, d >= 1 given."""
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+# a fixed sample for other interpreters: zero, units, d = 1, both signs, 40-digit ints
+FRACTION_SAMPLE = [coprime(n, d) for n, d in [
+    (0, 1), (1, 1), (-1, 1), (7, 1), (-10**40, 1), (1, 2), (-3, 70), (10**40, 3), (-(10**40) + 1, 10**40),
+    (2**64 + 1, 2**63), (-(3**80), 2**127 - 1), (6, 35), (-15, 14), (10**40 - 1, 10**40 + 1)]]
+
+_FRACTION_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from fractions import Fraction
+from sixj.exact import _fraction
+{view}
+pairs = json.loads(sys.argv[2])
+print(json.dumps([[n, d] for n, d in pairs if fraction_view(_fraction(n, d)) != fraction_view(Fraction(n, d))]))
+"""
+
+
+class TestFractionHelper:
+    """exact._fraction(n, d), for coprime ints n and d >= 1, is the Fraction(n, d) a reader sees."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(-(10**40), 10**40), d=st.integers(1, 10**40))
+    @example(n=0, d=1)
+    @example(n=-5, d=1)
+    @example(n=10**40, d=1)
+    @example(n=-12, d=18)
+    def test_is_the_constructed_fraction(self, n, d):
+        n, d = coprime(n, d)
+        assert fraction_view(exact._fraction(n, d)) == fraction_view(Fraction(n, d))
+
+    def test_fixed_sample_on_every_other_interpreter(self):
+        # the helper writes fractions' private slots, a CPython detail of each version
+        found = other_interpreters()
+        if not found:
+            pytest.skip("no other CPython >= 3.10 is installed")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        child = _FRACTION_CHILD.format(view=inspect.getsource(fraction_view))
+        mismatches = {}
+        for version, exe in sorted(found.items()):
+            run = subprocess.run([exe, "-I", "-B", "-c", child, src, json.dumps(FRACTION_SAMPLE)],
+                                 capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, (version, run.stderr)
+            mismatches[".".join(map(str, version))] = json.loads(run.stdout)
+        assert all(not bad for bad in mismatches.values()), mismatches
+
+    def test_from_prime_exponents_reduces_as_fraction_does(self):
+        # one gcd, the sign moved onto the numerator: the slots Fraction(n, d) would hold
+        for num, den in [(12, -18), (-12, -18), (0, -5), (7, -1), (-(10**30), 4 * 10**29), (3, 1)]:
+            value = ExactSymbol.from_prime_exponents(num, [2, 3], [2, -1], [-1, 1], den)
+            want = Fraction(num, den) * 3  # 2**(-1 + 1) * 3**1 * sqrt(1/3)
+            assert fraction_view(value.coeff) == fraction_view(want if want else Fraction(0)), (num, den)
+            assert fraction_view(value.radicand) == fraction_view(Fraction(1, 3) if want else Fraction(1))
+
+    def test_zero_denominator_raises_as_fraction_does(self):
+        for num in (3, 0, -2):
+            with pytest.raises(ZeroDivisionError) as want:
+                Fraction(num * 2, 0)
+            with pytest.raises(ZeroDivisionError, match=f"^{re.escape(str(want.value))}$"):
+                ExactSymbol.from_prime_exponents(num, [2], [0], [1], 0)
+
+    def test_zero_and_radicand_one_share_their_fractions(self):
+        # no allocation for 0 or for a radicand 1: every such value holds the module's two constants
+        values = [ExactSymbol.zero(), ExactSymbol.from_prime_exponents(0, [2], [1], [0], 3)]
+        values += [value for _, _, value in small_spin_values()]
+        ones = {id(v.radicand) for v in values if v.radicand == 1}
+        zeros = {id(v.coeff) for v in values if v.coeff == 0}
+        assert ones == {id(exact._ONE)} and zeros == {id(exact._ZERO)}
+        assert len(values) == 2 + 181 + 648 and sum(v.radicand == 1 for v in values) > 100
+
+
+# every doubled sextuple of spins <= 3/2, built once: the tests below count Fraction constructors
+SMALL_SEXTUPLES = [(d, SpinSextuple.of(*(Fraction(x, 2) for x in d))) for d in itertools.product(range(4), repeat=6)]
+
+
+def small_spin_values() -> list:
+    """(kind, parity, value) for every admissible sextuple of spins <= 3/2, kind "su2" or "osp12"."""
+    out = []
+    for d, s in SMALL_SEXTUPLES:
+        for evaluate, kind in ((sixj_exact, "su2"), (sixj_super_exact, "osp12")):
+            try:
+                parity = _check(*_sums(d), kind)
+            except SixjError:
+                continue
+            out.append((kind, parity, evaluate(s)))
+    return out
+
+
+def test_evaluations_run_no_fraction_constructor(monkeypatch):
+    large = [SpinSextuple.of(1, 1, 1, 1, 1, 1).scaled(1201), SpinSextuple.of(*(Fraction(1, 2),) * 6).scaled(1201)]
+    calls = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    assert Fraction(3, 6) == Fraction(1, 2) and len(calls) == 2  # the wrapper sees constructor calls
+    calls.clear()
+    small = small_spin_values()
+    values = [sixj_exact(large[0]), sixj_super_exact(large[0]), sixj_super_exact(large[1])]
+    assert calls == []
+    monkeypatch.undo()
+    # the sample holds SU(2) and every OSP(1|2) parity, zeros, radicands 1 and not 1, and rows past the table
+    assert {(kind, parity) for kind, parity, _ in small} == {("osp12", p) for p in Parity} | {("su2", Parity.ALPHA)}
+    values += [value for _, _, value in small]
+    assert len(values) == 3 + 181 + 648 and any(v.is_zero for v in values)
+    assert any(v.radicand != 1 for v in values) and any(v.radicand == 1 and not v.is_zero for v in values)
+    brackets = [_brackets(*_sums(s.doubled())) for s in large]
+    assert min(_bound(w, m, max(w), min(m)) for w, m in brackets) > exact._FACT_CAP + 1
+
+
+OLD_PICKLES = [  # (how to rebuild the value, its protocol-0 and protocol-5 pickles)
+    (sixj_exact, (2, 2, 2, 2, 2, 2),  # 1/6 * sqrt(1): radicand 1
+     b'c__builtin__\ngetattr\np0\n(csixj.exact\nExactSymbol\np1\nV_stored\np2\ntp3\nRp4\n(c'
+     b'fractions\nFraction\np5\n(I1\nI6\ntp6\nRp7\ng5\n(I1\nI1\ntp8\nRp9\ntp10\nRp11\n.',
+     b'\x80\x05\x95r\x00\x00\x00\x00\x00\x00\x00\x8c\x08builtins\x94\x8c\x07getattr\x94\x93'
+     b'\x94\x8c\nsixj.exact\x94\x8c\x0bExactSymbol\x94\x93\x94\x8c\x07_stored\x94\x86\x94R'
+     b'\x94\x8c\tfractions\x94\x8c\x08Fraction\x94\x93\x94K\x01K\x06\x86\x94R\x94h\x0bK\x01'
+     b'K\x01\x86\x94R\x94\x86\x94R\x94.'),
+    (sixj_super_exact, (1, 1, 1, 1, 2, 2),  # -3/2 * sqrt(1/3): radicand 1/3, negative
+     b'c__builtin__\ngetattr\np0\n(csixj.exact\nExactSymbol\np1\nV_stored\np2\ntp3\nRp4\n(c'
+     b'fractions\nFraction\np5\n(I-3\nI2\ntp6\nRp7\ng5\n(I1\nI3\ntp8\nRp9\ntp10\nRp11\n.',
+     b'\x80\x05\x95u\x00\x00\x00\x00\x00\x00\x00\x8c\x08builtins\x94\x8c\x07getattr\x94\x93'
+     b'\x94\x8c\nsixj.exact\x94\x8c\x0bExactSymbol\x94\x93\x94\x8c\x07_stored\x94\x86\x94R'
+     b'\x94\x8c\tfractions\x94\x8c\x08Fraction\x94\x93\x94J\xfd\xff\xff\xffK\x02\x86\x94R'
+     b'\x94h\x0bK\x01K\x03\x86\x94R\x94\x86\x94R\x94.'),
+    (sixj_exact, (3, 3, 4, 4, 4, 3),  # 0 * sqrt(1): zero
+     b'c__builtin__\ngetattr\np0\n(csixj.exact\nExactSymbol\np1\nV_stored\np2\ntp3\nRp4\n(c'
+     b'fractions\nFraction\np5\n(I0\nI1\ntp6\nRp7\ng5\n(I1\nI1\ntp8\nRp9\ntp10\nRp11\n.',
+     b'\x80\x05\x95r\x00\x00\x00\x00\x00\x00\x00\x8c\x08builtins\x94\x8c\x07getattr\x94\x93'
+     b'\x94\x8c\nsixj.exact\x94\x8c\x0bExactSymbol\x94\x93\x94\x8c\x07_stored\x94\x86\x94R'
+     b'\x94\x8c\tfractions\x94\x8c\x08Fraction\x94\x93\x94K\x00K\x01\x86\x94R\x94h\x0bK\x01'
+     b'K\x01\x86\x94R\x94\x86\x94R\x94.'),
+    (sixj_exact, (0, 0, 0, 1, 1, 1),  # -1 * sqrt(1/2): negative, radicand 1/2
+     b'c__builtin__\ngetattr\np0\n(csixj.exact\nExactSymbol\np1\nV_stored\np2\ntp3\nRp4\n(c'
+     b'fractions\nFraction\np5\n(I-1\nI1\ntp6\nRp7\ng5\n(I1\nI2\ntp8\nRp9\ntp10\nRp11\n.',
+     b'\x80\x05\x95u\x00\x00\x00\x00\x00\x00\x00\x8c\x08builtins\x94\x8c\x07getattr\x94\x93'
+     b'\x94\x8c\nsixj.exact\x94\x8c\x0bExactSymbol\x94\x93\x94\x8c\x07_stored\x94\x86\x94R'
+     b'\x94\x8c\tfractions\x94\x8c\x08Fraction\x94\x93\x94J\xff\xff\xff\xffK\x01\x86\x94R'
+     b'\x94h\x0bK\x01K\x02\x86\x94R\x94\x86\x94R\x94.'),
+    (ExactSymbol, (Fraction(-5, 7), Fraction(10, 21)),  # a radicand with both sides
+     b'c__builtin__\ngetattr\np0\n(csixj.exact\nExactSymbol\np1\nV_stored\np2\ntp3\nRp4\n(c'
+     b'fractions\nFraction\np5\n(I-5\nI7\ntp6\nRp7\ng5\n(I10\nI21\ntp8\nRp9\ntp10\nRp11\n.',
+     b'\x80\x05\x95u\x00\x00\x00\x00\x00\x00\x00\x8c\x08builtins\x94\x8c\x07getattr\x94\x93'
+     b'\x94\x8c\nsixj.exact\x94\x8c\x0bExactSymbol\x94\x93\x94\x8c\x07_stored\x94\x86\x94R'
+     b'\x94\x8c\tfractions\x94\x8c\x08Fraction\x94\x93\x94J\xfb\xff\xff\xffK\x07\x86\x94R'
+     b'\x94h\x0bK\nK\x15\x86\x94R\x94\x86\x94R\x94.'),
+]
+
+
+def _rebuilt(build, args) -> ExactSymbol:
+    return build(*args) if build is ExactSymbol else build(SpinSextuple.of(*(Fraction(x, 2) for x in args)))
+
+
+@pytest.mark.parametrize("build, args, protocol0, protocol5", OLD_PICKLES,
+                         ids=["radicand-1", "radicand-1/3", "zero", "radicand-1/2", "radicand-10/21"])
+def test_pickles_of_the_earlier_record_layout_still_load(build, args, protocol0, protocol5):
+    # pickled when records were built by object.__setattr__; they load through _stored
+    value = _rebuilt(build, args)
+    for data in (protocol0, protocol5):
+        loaded = pickle.loads(data)
+        assert type(loaded) is ExactSymbol and parts(loaded) == parts(value) and hash(loaded) == hash(value)
+        assert repr(loaded) == repr(value)
